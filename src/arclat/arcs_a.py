@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .util import between
+from .util import between, components
 
 Word = Tuple[int, ...]
 
@@ -142,23 +142,10 @@ def diagram_of(word: Word) -> DiagramA:
 
 
 def _blocks(points: set, arcs: set) -> List[dict]:
-    parent = {v: v for v in points}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    comp = components(points, ((arc.bottom, arc.top) for arc in arcs))
+    groups = {c: {"points": c, "arcs": []} for c in set(comp.values())}
     for arc in arcs:
-        ra, rb = find(arc.bottom), find(arc.top)
-        if ra != rb:
-            parent[ra] = rb
-    groups: Dict[int, dict] = {}
-    for v in points:
-        groups.setdefault(find(v), {"points": set(), "arcs": []})["points"].add(v)
-    for arc in arcs:
-        groups[find(arc.bottom)]["arcs"].append(arc)
+        groups[comp[arc.bottom]]["arcs"].append(arc)
     return list(groups.values())
 
 

@@ -224,14 +224,7 @@ def fold_phi(sym: SymArcOrPair) -> TypeBArc:
     if not sym.overlapping:
         a = sym.positive_arc()
         return OrdinaryArc(a.bottom, a.top, a.right)
-    a = sym.right_arc()
-    left_end, right_end = -a.bottom, a.top
-    return LongArc(
-        left_end,
-        right_end,
-        frozenset(v for v in range(1, left_end) if -v in a.right),
-        frozenset(v for v in a.right if v > 0),
-    )
+    return _fold_pair_from_right_arc(sym.right_arc())
 
 
 def unfold_phi_inv(arc: TypeBArc) -> SymArcOrPair:
@@ -387,16 +380,7 @@ def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
             + list(range(p + 1, n + 1))
         )
     if isinstance(arc, OrdinaryArc):
-        p, q = arc.bottom, arc.top
-        if q > n:
-            raise ValueError("arc outside 1..n")
-        return tuple(
-            list(range(1, p))
-            + sorted(arc.left)
-            + [q, p]
-            + sorted(arc.right)
-            + list(range(q + 1, n + 1))
-        )
+        return arcs_a.join_irreducible_word(arc, n)
     p, q = arc.left_end, arc.right_end
     if max(p, q) > n:
         raise ValueError("arc outside 1..n")

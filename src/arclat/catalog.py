@@ -13,7 +13,7 @@ from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc
 from .forcing import ArcCongruence, congruence_meet
 from .lattice import ScopeExceeded
 from .permutations import SignedPermutation, evaluate_word_b
-from .util import between
+from .util import between, components
 
 
 class MalformedPartition(ValueError):
@@ -58,27 +58,30 @@ def simple_arc(i: int, n: int) -> TypeBArc:
     return OrdinaryArc(i, i + 1, frozenset())
 
 
+def _arcs_where(n: int, pred) -> frozenset:
+    return frozenset(arc for arc in forcing._all_arcs(n) if pred(arc))
+
+
 def parabolic_congruence(n: int, gens: Iterable[int]) -> ArcCongruence:
     """Congruence generated by contracting a set of simple generators."""
     gens = sorted(set(gens))
-    theta = ArcCongruence.from_generators(n, [simple_arc(i, n) for i in gens])
-    expect = set()
-    for arc in forcing._all_arcs(n):
-        for i in gens:
-            if i == 0:
-                if not isinstance(arc, OrdinaryArc):
-                    expect.add(arc)
-            elif isinstance(arc, OrdinaryArc):
-                if arc.bottom <= i < arc.top:
-                    expect.add(arc)
-            elif isinstance(arc, OrbifoldArc):
-                if arc.top > i:
-                    expect.add(arc)
-            else:
-                if arc.left_end > i or arc.right_end > i:
-                    expect.add(arc)
-    assert theta.contracted == frozenset(expect)
-    return theta
+    return ArcCongruence.from_generators(n, [simple_arc(i, n) for i in gens])
+
+
+def _parabolic_contracts(arc: TypeBArc, i: int) -> bool:
+    if i == 0:
+        return not isinstance(arc, OrdinaryArc)
+    if isinstance(arc, OrdinaryArc):
+        return arc.bottom <= i < arc.top
+    if isinstance(arc, OrbifoldArc):
+        return arc.top > i
+    return arc.left_end > i or arc.right_end > i
+
+
+def parabolic_closed_form(n: int, gens: Iterable[int]) -> frozenset:
+    """Contracted arcs of parabolic_congruence(n, gens), by closed form."""
+    gens = set(gens)
+    return _arcs_where(n, lambda arc: any(_parabolic_contracts(arc, i) for i in gens))
 
 
 def passes_left_of(arc: TypeBArc, point: int) -> bool:
@@ -107,7 +110,7 @@ HOM_GENERATOR_WORDS = {
 }
 
 
-def _hom_closed_form(variant: str, arc: TypeBArc) -> bool:
+def _hom_contracts(variant: str, arc: TypeBArc) -> bool:
     if variant == "simion":
         return isinstance(arc, LongArc)
     if variant == "nonhom":
@@ -137,12 +140,12 @@ def hom_congruence(n: int, variant: str) -> ArcCongruence:
         arcs_b.arc_of_join_irreducible(evaluate_word_b(word, n))
         for word in HOM_GENERATOR_WORDS[variant]
     ]
-    theta = ArcCongruence.from_generators(n, gens)
-    expect = frozenset(
-        arc for arc in forcing._all_arcs(n) if _hom_closed_form(variant, arc)
-    )
-    assert theta.contracted == expect
-    return theta
+    return ArcCongruence.from_generators(n, gens)
+
+
+def hom_closed_form(n: int, variant: str) -> frozenset:
+    """Contracted arcs of hom_congruence(n, variant), by closed form."""
+    return _arcs_where(n, lambda arc: _hom_contracts(variant, arc))
 
 
 def cambrian_congruence(n: int, d: Designation) -> ArcCongruence:
@@ -158,30 +161,26 @@ def cambrian_congruence(n: int, d: Designation) -> ArcCongruence:
     return ArcCongruence(n, contracted)
 
 
+def _avoids(pi: SignedPermutation, order: Tuple[int, int, int], mids: frozenset) -> bool:
+    """No three entries of the long word that, taken in position order and
+    rearranged by `order`, read a < b < c with b in mids."""
+    for triple in itertools.combinations(pi.long_word(), 3):
+        a, b, c = (triple[k] for k in order)
+        if a < b < c and b in mids:
+            return False
+    return True
+
+
 def cambrian_pattern_test(pi: SignedPermutation, d: Designation) -> bool:
     """No b..c..a in the long word with a < b < c and b a right point or the
     negative of a left point."""
-    word = pi.long_word()
-    rights, lefts = d.right_points(), d.left_points()
-    m = len(word)
-    for i, j, k in itertools.combinations(range(m), 3):
-        b, c, a = word[i], word[j], word[k]
-        if a < b < c and (b in rights or -b in lefts):
-            return False
-    return True
+    return _avoids(pi, (2, 0, 1), d.right_points() | frozenset(-v for v in d.left_points()))
 
 
 def cambrian_pattern_test_312(pi: SignedPermutation, d: Designation) -> bool:
     """Equivalent criterion: no c..a..b with a < b < c and b a left point or
     the negative of a right point."""
-    word = pi.long_word()
-    rights, lefts = d.right_points(), d.left_points()
-    m = len(word)
-    for i, j, k in itertools.combinations(range(m), 3):
-        c, a, b = word[i], word[j], word[k]
-        if a < b < c and (b in lefts or -b in rights):
-            return False
-    return True
+    return _avoids(pi, (1, 2, 0), d.left_points() | frozenset(-v for v in d.right_points()))
 
 
 def cambrian_meet_rep(n: int, d: Designation) -> Tuple[TypeBArc, ...]:
@@ -238,66 +237,27 @@ def ncp_of_diagram(diagram: DiagramB, d: Designation) -> NCPartitionB:
     theta = cambrian_congruence(diagram.n, d)
     if any(a in theta.contracted for a in diagram.arcs):
         raise ValueError("diagram uses contracted arcs")
-    parent: Dict[int, int] = {v: v for v in range(1, diagram.n + 1)}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def join(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    special: Dict[int, TypeBArc] = {}
-    for arc in diagram.arcs:
-        if isinstance(arc, OrdinaryArc):
-            join(arc.bottom, arc.top)
-        elif isinstance(arc, LongArc):
-            join(arc.left_end, arc.right_end)
-    for arc in diagram.arcs:
-        if not isinstance(arc, OrdinaryArc):
-            anchor = arc.top if isinstance(arc, OrbifoldArc) else arc.left_end
-            special[find(anchor)] = arc
-    groups: Dict[int, set] = {}
-    for v in range(1, diagram.n + 1):
-        groups.setdefault(find(v), set()).add(v)
+    points = range(1, diagram.n + 1)
+    ordinary = [(a.bottom, a.top) for a in diagram.arcs if isinstance(a, OrdinaryArc)]
+    longs = [(a.left_end, a.right_end) for a in diagram.arcs if isinstance(a, LongArc)]
+    comp = components(points, ordinary + longs)
+    pieces = components(points, ordinary)
+    special = {
+        comp[arc.top if isinstance(arc, OrbifoldArc) else arc.left_end]: arc
+        for arc in diagram.arcs
+        if not isinstance(arc, OrdinaryArc)
+    }
     blocks = []
-    for root, pts in sorted(groups.items()):
-        arc = special.get(root)
+    for pts in set(comp.values()):
+        arc = special.get(pts)
         if arc is None:
-            blocks.append(NCBlock(frozenset(pts), "plain"))
+            blocks.append(NCBlock(pts, "plain"))
         elif isinstance(arc, OrbifoldArc):
-            blocks.append(NCBlock(frozenset(pts), "orbifold"))
+            blocks.append(NCBlock(pts, "orbifold"))
         else:
-            left_piece = _piece_points(diagram, arc, arc.left_end)
-            blocks.append(
-                NCBlock(
-                    frozenset(pts),
-                    "wraps",
-                    (frozenset(left_piece), frozenset(pts) - frozenset(left_piece)),
-                )
-            )
+            left_piece = pieces[arc.left_end]
+            blocks.append(NCBlock(pts, "wraps", (left_piece, pts - left_piece)))
     return NCPartitionB(diagram.n, tuple(sorted(blocks, key=lambda b: min(b.points))))
-
-
-def _piece_points(diagram: DiagramB, long_arc: LongArc, start: int) -> set:
-    """Points reachable from one endpoint of the long arc via ordinary arcs."""
-    adj: Dict[int, set] = {}
-    for arc in diagram.arcs:
-        if isinstance(arc, OrdinaryArc):
-            adj.setdefault(arc.bottom, set()).add(arc.top)
-            adj.setdefault(arc.top, set()).add(arc.bottom)
-    out, stack = {start}, [start]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in out:
-                out.add(w)
-                stack.append(w)
-    return out
 
 
 def _connect(lo: int, hi: int, d: Designation) -> OrdinaryArc:
@@ -403,10 +363,7 @@ def bicambrian_bipartite(n: int) -> ArcCongruence:
     if n < 3:
         raise ScopeExceeded("bipartite family needs n >= 3")
     d1, d2 = _opposite_pair(n, "bipartite")
-    theta = congruence_meet(cambrian_congruence(n, d1), cambrian_congruence(n, d2))
-    expect = frozenset(a for a in forcing._all_arcs(n) if not is_alternating_arc(a))
-    assert theta.contracted == expect
-    return theta
+    return congruence_meet(cambrian_congruence(n, d1), cambrian_congruence(n, d2))
 
 
 def bicambrian_linear(n: int) -> ArcCongruence:
@@ -415,14 +372,18 @@ def bicambrian_linear(n: int) -> ArcCongruence:
     if n < 3:
         raise ScopeExceeded("linear family needs n >= 3")
     d1, d2 = _opposite_pair(n, "linear")
-    theta = congruence_meet(cambrian_congruence(n, d1), cambrian_congruence(n, d2))
-    expect = frozenset(
-        a
-        for a in forcing._all_arcs(n)
-        if _passes_left_somewhere(a) and _passes_right_somewhere(a)
-    )
-    assert theta.contracted == expect
-    return theta
+    return congruence_meet(cambrian_congruence(n, d1), cambrian_congruence(n, d2))
+
+
+def bicambrian_closed_form(n: int, variant: str) -> frozenset:
+    """Contracted arcs of the biCambrian family, by closed form: the
+    non-alternating arcs (bipartite), or the arcs passing left of some point
+    and right of another (linear)."""
+    if variant == "bipartite":
+        return _arcs_where(n, lambda a: not is_alternating_arc(a))
+    if variant == "linear":
+        return _arcs_where(n, lambda a: _passes_left_somewhere(a) and _passes_right_somewhere(a))
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def bicambrian_bipartite_generated(n: int) -> ArcCongruence:

@@ -25,7 +25,7 @@ from .arcs_b import (
 )
 from .lattice import FiniteLattice, ScopeExceeded, build_lattice
 from .permutations import SignedPermutation, all_signed_permutations
-from .util import between
+from .util import between, transitive_closure
 
 
 class NotInConA(ValueError):
@@ -49,7 +49,7 @@ def is_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
             p2, q2 = sub.bottom, sub.top
         return (
             p <= p2 < q2 <= q
-            and sub.right == sup.right & frozenset(between_zero(p2, q2))
+            and sub.right == sup.right & _rng(p2, q2)
         )
     # sup is long
     p, q = sup.left_end, sup.right_end
@@ -74,11 +74,6 @@ def is_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
         and (sub.left_end > sub.right_end or sub.left_end not in sup.right)
         and (sub.right_end > sub.left_end or sub.right_end not in sup.left)
     )
-
-
-def between_zero(p: int, q: int) -> frozenset:
-    """Points strictly between p and q where p may be the origin."""
-    return frozenset(range(max(p, 0) + 1, q))
 
 
 def is_subarc_symmetric(sub: SymArcOrPair, sup: SymArcOrPair) -> bool:
@@ -147,14 +142,6 @@ def is_loose_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
             and not sub.between_pieces
         )
     return False
-
-
-def _endpoint_values(arc: TypeBArc) -> frozenset:
-    if isinstance(arc, OrdinaryArc):
-        return frozenset((arc.bottom, arc.top))
-    if isinstance(arc, LongArc):
-        return frozenset((arc.left_end, arc.right_end))
-    return frozenset((arc.top,))
 
 
 def _canonical_rep(arc: TypeBArc) -> ArcA:
@@ -252,26 +239,12 @@ def arrow_edges(n: int) -> List[ArrowEdge]:
 
 def arrow_closure(arcs: Sequence[TypeBArc]) -> Dict[TypeBArc, frozenset]:
     """Reflexive-transitive closure of the arrow relation on the given arcs."""
-    idx = {a: i for i, a in enumerate(arcs)}
-    n = len(arcs)
-    reach = [1 << i for i in range(n)]
-    edges = [[] for _ in range(n)]
-    for i, a in enumerate(arcs):
-        for j, b in enumerate(arcs):
-            if i != j and has_arrow(a, b):
-                edges[i].append(j)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = reach[i]
-            for j in edges[i]:
-                m |= reach[j]
-            if m != reach[i]:
-                reach[i] = m
-                changed = True
+    reach = transitive_closure([
+        sum(1 << j for j, b in enumerate(arcs) if i != j and has_arrow(a, b))
+        for i, a in enumerate(arcs)
+    ])
     return {
-        a: frozenset(arcs[j] for j in range(n) if reach[i] >> j & 1)
+        a: frozenset(arcs[j] for j in range(len(arcs)) if reach[i] >> j & 1)
         for i, a in enumerate(arcs)
     }
 
@@ -507,12 +480,3 @@ def lift_to_symmetric(theta: ArcCongruence) -> ArcCongruenceA:
     assert lifted.is_symmetric()
     return lifted
 
-
-def restriction_of_symmetric(theta_a: ArcCongruenceA) -> ArcCongruence:
-    """Contracted quotient arcs of the restriction of a symmetric congruence."""
-    contracted = frozenset(
-        arc
-        for arc in _all_arcs(theta_a.n)
-        if any(a in theta_a.contracted for a in arcs_b.unfold_arcs(arc))
-    )
-    return ArcCongruence(theta_a.n, contracted)

@@ -140,18 +140,6 @@ def poset_of_regions(arr: Arrangement) -> FiniteLattice:
     return build_lattice(covers, regions)
 
 
-def region_of_element(arr: Arrangement, w) -> Region:
-    """Region whose separating set is the inversion set of the group element."""
-    n = arr.dim
-    want = frozenset(
-        arr.hyperplanes.index(reflection_hyperplane(t, n)) for t in w.inversions()
-    )
-    for r in arr.regions():
-        if r.separating() == want:
-            return r
-    raise ValueError(f"no region for {w}")
-
-
 def weak_order_isomorphism(arr: Arrangement, lattice: FiniteLattice) -> Dict[int, Region]:
     """Isomorphism from a weak-order lattice onto the poset of regions.
 
@@ -250,9 +238,6 @@ class ShardCone:
     carrier: int
     sides: tuple  # sorted tuple of (hyperplane index, +1/-1)
 
-    def side_map(self) -> dict:
-        return dict(self.sides)
-
 
 def _cutters(arr: Arrangement, h: int) -> list:
     return [k for k in range(arr.m()) if cuts(arr, k, h)]
@@ -274,20 +259,6 @@ def shards(arr: Arrangement) -> tuple:
             if sys.feasible():
                 out.append(ShardCone(h, tuple(sorted(zip(cutters, signs)))))
     return tuple(out)
-
-
-def _relint_system(arr: Arrangement, shard: ShardCone) -> LinearSystem:
-    sys = LinearSystem(arr.dim)
-    sys.eq(arr.oriented[shard.carrier])
-    for k, s in shard.sides:
-        sys.gt([s * c for c in arr.oriented[k]])
-    return sys
-
-
-def shard_contains(arr: Arrangement, shard: ShardCone, x: Sequence) -> bool:
-    if dot(arr.oriented[shard.carrier], x) != 0:
-        return False
-    return all(s * dot(arr.oriented[k], x) >= 0 for k, s in shard.sides)
 
 
 def region_walls(arr: Arrangement, region: Region) -> list:

@@ -265,26 +265,28 @@ class Congruence:
     def __hash__(self) -> int:
         return hash(self.class_of)
 
-    def refines(self, other: "Congruence") -> bool:
-        """True if every class of self is inside a class of other."""
-        return all(
-            other.class_of[members[0]] == other.class_of[m]
-            for members in self.classes()
-            for m in members
-        )
 
-
-def is_congruence(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
-    """Order-theoretic congruence test: interval classes, monotone projections."""
+def _partition(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> Optional[tuple]:
+    """(classes as tuples, class id of each element), or None unless the
+    classes partition the elements."""
     class_list = [tuple(c) for c in classes]
     class_of = [-1] * lat.n
     for cid, members in enumerate(class_list):
         for m in members:
             if class_of[m] != -1:
-                return False
+                return None
             class_of[m] = cid
     if any(c < 0 for c in class_of):
+        return None
+    return class_list, class_of
+
+
+def is_congruence(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
+    """Order-theoretic congruence test: interval classes, monotone projections."""
+    parsed = _partition(lat, classes)
+    if parsed is None:
         return False
+    class_list, class_of = parsed
     bots, tops = {}, {}
     for cid, members in enumerate(class_list):
         mask = 0
@@ -306,15 +308,10 @@ def is_congruence(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
 
 def is_congruence_algebraic(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
     """Direct algebraic test; quadratic in class sizes, small lattices only."""
-    class_list = [tuple(c) for c in classes]
-    class_of = [-1] * lat.n
-    for cid, members in enumerate(class_list):
-        for m in members:
-            if class_of[m] != -1:
-                return False
-            class_of[m] = cid
-    if any(c < 0 for c in class_of):
+    parsed = _partition(lat, classes)
+    if parsed is None:
         return False
+    class_list, class_of = parsed
     for members in class_list:
         for x, y in itertools.combinations(members, 2):
             for z in range(lat.n):

@@ -175,13 +175,6 @@ class SignedPermutation:
         return "SignedPermutation(" + ",".join(str(v) for v in self.word) + ")"
 
 
-def simple_a(i: int, n: int) -> Permutation:
-    """The adjacent transposition exchanging i and i+1."""
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return Permutation(tuple(w))
-
-
 def simple_b(i: int, n: int) -> SignedPermutation:
     """Simple generator: index 0 is the sign change on 1."""
     w = list(range(1, n + 1))

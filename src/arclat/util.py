@@ -1,11 +1,8 @@
-"""Small shared helpers for point ranges and vectors."""
+"""Small shared helpers for point ranges, vectors and small graphs."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
-
-Vector = Tuple[Fraction, ...]
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 
 def between(a: int, b: int) -> tuple[int, ...]:
@@ -22,14 +19,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def unit(n: int, i: int, sign: int = 1) -> tuple:
     """Signed standard basis vector e_i (1-based) in R^n."""
     return tuple(sign if k == i - 1 else 0 for k in range(n))
@@ -43,10 +32,43 @@ def canonical_normal(v: Sequence[int]) -> tuple:
     raise ValueError("zero vector has no canonical form")
 
 
-def first_duplicate(items: Iterable):
-    seen = set()
-    for x in items:
-        if x in seen:
-            return x
-        seen.add(x)
-    return None
+def components(points: Iterable[Hashable], edges: Iterable[Tuple]) -> Dict[Hashable, frozenset]:
+    """Connected components of a graph: each point mapped to its component."""
+    parent = {v: v for v in points}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: Dict[Hashable, set] = {}
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
+    return {v: comp for comp in map(frozenset, groups.values()) for v in comp}
+
+
+def transitive_closure(succ: Sequence[int]) -> List[int]:
+    """Reflexive-transitive closure of a digraph on 0..m-1.
+
+    succ[i] is the bitmask of the successors of i; the result holds, for each
+    i, the bitmask of everything reachable from i, i itself included.
+    """
+    reach = [mask | 1 << i for i, mask in enumerate(succ)]
+    changed = True
+    while changed:
+        changed = False
+        for i, mask in enumerate(reach):
+            m, probe = mask, mask
+            while probe:
+                low = probe & -probe
+                m |= reach[low.bit_length() - 1]
+                probe ^= low
+            if m != mask:
+                reach[i] = m
+                changed = True
+    return reach

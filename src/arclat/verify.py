@@ -1,17 +1,14 @@
 """Named verification suites with machine-readable reports.
 
 Each suite runs a family of exact checks at a given rank and returns a
-report dict; any failing check carries a counterexample dump.  The worker
-count for pairwise scans is capped by the ARCLAT_THREADS environment
-variable (default 1).
+report dict; any failing check carries a counterexample dump.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional
 
 from . import arcs_a, arcs_b, catalog, forcing, geometry as geo, lattice as lat
@@ -25,21 +22,7 @@ from .permutations import (
     weak_order_lattice,
     word_w0_conjugate,
 )
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ARCLAT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn: Callable, items: list) -> list:
-    workers = thread_count()
-    if workers <= 1 or len(items) < 64:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from .util import transitive_closure
 
 
 class Report:
@@ -60,9 +43,11 @@ class Report:
 
 def suite_bijections(n: int) -> dict:
     rep = Report("bijections", n)
-    words = list(itertools.permutations(range(1, n + 1)))
-    results = _map(lambda w: arcs_a.word_of(arcs_a.diagram_of(w)) == w, words)
-    bad = next((w for w, ok in zip(words, results) if not ok), None)
+    bad = None
+    for w in itertools.permutations(range(1, n + 1)):
+        if arcs_a.word_of(arcs_a.diagram_of(w)) != w:
+            bad = w
+            break
     rep.check(f"plain diagram roundtrip on all {n}-words", bad is None, bad)
     if n <= 4:
         bad = None
@@ -77,8 +62,6 @@ def suite_bijections(n: int) -> dict:
 def suite_diagram_count(n: int) -> dict:
     rep = Report("diagram-count", n)
     count = len(arcs_b.all_diagrams(n))
-    import math
-
     expect = 2**n * math.factorial(n)
     rep.check(f"clique count equals group order {expect}", count == expect, count)
     return rep.done()
@@ -189,9 +172,10 @@ def suite_shard_digraph(n: int, family: str = "B") -> dict:
     rep = Report("shard-digraph", n)
     arr, W, sh, shard_of_ji = _shard_tables(family, n)
     jis = sorted(shard_of_ji)
+    arrow = {}
     bad = None
     for i, j in itertools.product(jis, jis):
-        g = geo.shard_arrow_geometric(arr, shard_of_ji[i], shard_of_ji[j])
+        g = arrow[i, j] = geo.shard_arrow_geometric(arr, shard_of_ji[i], shard_of_ji[j])
         e = geo.arrow_witness_check(arr, shard_of_ji[i], shard_of_ji[j], sh)
         if g != e:
             bad = (W.labels[i], W.labels[j], "geometric vs witness criterion")
@@ -205,29 +189,12 @@ def suite_shard_digraph(n: int, family: str = "B") -> dict:
     rep.check("geometric = witness-shard = arc arrows", bad is None, bad)
     if bad is None:
         # closure of the digraph equals lattice forcing
-        idx = {i: k for k, i in enumerate(jis)}
-        reach = [1 << k for k in range(len(jis))]
-        for (i, j) in itertools.product(jis, jis):
-            if i != j and geo.shard_arrow_geometric(arr, shard_of_ji[i], shard_of_ji[j]):
-                reach[idx[i]] |= 1 << idx[j]
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(jis)):
-                m = reach[k]
-                probe = m
-                while probe:
-                    low = probe & -probe
-                    m |= reach[low.bit_length() - 1]
-                    probe ^= low
-                if m != reach[k]:
-                    reach[k] = m
-                    changed = True
-        bad = None
+        reach = transitive_closure([
+            sum(1 << l for l, j in enumerate(jis) if i != j and arrow[i, j]) for i in jis
+        ])
         ji_by_el = {j.element: j for j in lat.join_irreducibles(W)}
-        for i, j in itertools.product(jis, jis):
-            path = bool(reach[idx[i]] >> idx[j] & 1)
-            if path != lat.forcing_oracle(W, ji_by_el[i], ji_by_el[j]):
+        for (k, i), (l, j) in itertools.product(enumerate(jis), enumerate(jis)):
+            if bool(reach[k] >> l & 1) != lat.forcing_oracle(W, ji_by_el[i], ji_by_el[j]):
                 bad = (W.labels[i], W.labels[j])
                 break
         rep.check("digraph closure = forcing", bad is None, bad)
@@ -237,11 +204,16 @@ def suite_shard_digraph(n: int, family: str = "B") -> dict:
 def suite_geometry(n: int, family: str = "B") -> dict:
     rep = Report("geometry", n)
     arr, W, sh, shard_of_ji = _shard_tables(family, n)
-    rep.check("poset of regions matches the weak order", True)
+    jis = lat.join_irreducibles(W)
     rep.check(
-        "shard count equals join-irreducible count",
-        len(sh) == len(lat.join_irreducibles(W)),
-        len(sh),
+        "poset of regions matches the weak order",
+        lat.is_isomorphic(geo.poset_of_regions(arr), W),
+    )
+    rep.check("shard count equals join-irreducible count", len(sh) == len(jis), len(sh))
+    rep.check(
+        "every join-irreducible has exactly one shard",
+        set(shard_of_ji) == {j.element for j in jis},
+        sorted(shard_of_ji),
     )
     bad = None
     for i, s in shard_of_ji.items():
@@ -300,12 +272,13 @@ def suite_octagon(n: int = 2) -> dict:
 def suite_hom(n: int) -> dict:
     rep = Report("hom", n)
     for variant in ("simion", "nonhom", "delta", "delta_mirror"):
-        try:
-            theta = catalog.hom_congruence(n, variant)
-            rep.check(f"{variant}: generated set equals closed form", True)
-        except AssertionError:
-            rep.check(f"{variant}: generated set equals closed form", False)
-            continue
+        theta = catalog.hom_congruence(n, variant)
+        closed = catalog.hom_closed_form(n, variant)
+        rep.check(
+            f"{variant}: generated set equals closed form",
+            theta.contracted == closed,
+            sorted(theta.contracted ^ closed, key=arcs_b.arc_key),
+        )
         if n == 3:
             q = forcing.quotient_lattice(theta)
             rep.check(f"{variant}: quotient has 24 elements", q.n == 24, q.n)
@@ -317,8 +290,6 @@ def suite_hom(n: int) -> dict:
 
 def suite_cambrian(n: int, max_designations: Optional[int] = None, seed: int = 5) -> dict:
     rep = Report("cambrian", n)
-    import math
-
     expect = math.comb(2 * n, n)
     designations = [
         Designation(tuple(s)) for s in itertools.product("RL", repeat=n - 1)
@@ -358,27 +329,31 @@ def suite_cambrian(n: int, max_designations: Optional[int] = None, seed: int = 5
 
 
 def suite_bicambrian(n: int) -> dict:
+    """Each family's closed form against its construction (the meet of an
+    opposite Cambrian pair), its quoted generators and a recomputed meet."""
     rep = Report("bicambrian", n)
-    bi = catalog.bicambrian_bipartite(n)
-    bi_gen = catalog.bicambrian_bipartite_generated(n)
-    rep.check("bipartite: generators reach the closed form", bi_gen.contracted == bi.contracted)
-    d1, d2 = catalog._opposite_pair(n, "bipartite")
-    meet = forcing.congruence_meet(
-        catalog.cambrian_congruence(n, d1), catalog.cambrian_congruence(n, d2)
+    families = (
+        ("bipartite", catalog.bicambrian_bipartite, catalog.bicambrian_bipartite_generated,
+         "bipartite: generators reach the closed form", "bipartite: equals meet of opposite pair"),
+        ("linear", catalog.bicambrian_linear, catalog.bicambrian_linear_generated,
+         "linear: quoted generators reach the closed form",
+         "linear: closed form equals meet of opposite pair"),
     )
-    rep.check("bipartite: equals meet of opposite pair", meet.contracted == bi.contracted)
-    lin = catalog.bicambrian_linear(n)
-    lin_gen = catalog.bicambrian_linear_generated(n)
-    rep.check(
-        "linear: quoted generators reach the closed form",
-        lin_gen.contracted == lin.contracted,
-        sorted(lin.contracted - lin_gen.contracted, key=arcs_b.arc_key),
-    )
-    d1, d2 = catalog._opposite_pair(n, "linear")
-    meet = forcing.congruence_meet(
-        catalog.cambrian_congruence(n, d1), catalog.cambrian_congruence(n, d2)
-    )
-    rep.check("linear: closed form equals meet of opposite pair", meet.contracted == lin.contracted)
+    for variant, build, generated, gen_check, meet_check in families:
+        closed = catalog.bicambrian_closed_form(n, variant)
+        theta = build(n)
+        rep.check(
+            f"{variant}: closed form equals the constructed congruence",
+            theta.contracted == closed,
+            sorted(theta.contracted ^ closed, key=arcs_b.arc_key),
+        )
+        gen = generated(n)
+        rep.check(gen_check, gen.contracted == closed, sorted(closed - gen.contracted, key=arcs_b.arc_key))
+        d1, d2 = catalog._opposite_pair(n, variant)
+        meet = forcing.congruence_meet(
+            catalog.cambrian_congruence(n, d1), catalog.cambrian_congruence(n, d2)
+        )
+        rep.check(meet_check, meet.contracted == closed)
     return rep.done()
 
 

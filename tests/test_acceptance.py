@@ -1,29 +1,32 @@
 """Acceptance criteria, one test per criterion.
 
-Every check is exact (0 failures allowed); the stated runtimes in the
-program contract are budgets, so elapsed times are printed but not
-asserted.  Run with ``pytest tests/test_acceptance.py -v -s`` to see one
-line per criterion.
+Each criterion runs its verification suites (``arclat.verify``) at fixed
+ranks, sample counts and seeds and requires every check of every report to
+pass (0 failures allowed); the stated runtimes in the program contract are
+budgets, so elapsed times are printed but not asserted.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
-import itertools
-import math
-import random
 import time
 
 import pytest
 
-from arclat import arcs_a, arcs_b, catalog, forcing, geometry as geo, lattice as lat
-from arclat.catalog import Designation
-from arclat.permutations import (
-    CoxeterType,
-    SignedPermutation,
-    all_signed_permutations,
-    cjr_weak,
-    unfold,
-    weak_order_lattice,
-    word_w0_conjugate,
-)
+from arclat import verify
+
+LINEAR_GENERATORS = "linear: quoted generators reach the closed form"
+
+
+def _passed(report) -> dict:
+    return {c["name"]: c["pass"] for c in report["checks"]}
+
+
+def _failed(report) -> list:
+    return [c for c in report["checks"] if not c["pass"]]
+
+
+def _passes(*reports):
+    for report in reports:
+        assert not _failed(report), (report["suite"], report["n"], _failed(report))
 
 
 def _report(num, label, t0):
@@ -32,209 +35,64 @@ def _report(num, label, t0):
 
 def test_criterion_1_bijection_suites():
     t0 = time.time()
-    for n in (5, 6):
-        for word in itertools.permutations(range(1, n + 1)):
-            assert arcs_a.word_of(arcs_a.diagram_of(word)) == word
-    for n in (3, 4):
-        seen = set()
-        for pi in all_signed_permutations(n):
-            d = arcs_b.diagram_of_signed(pi)
-            assert arcs_b.signed_of_diagram(d) == pi
-            key = frozenset(d.arcs)
-            assert key not in seen
-            seen.add(key)
+    _passes(*(verify.suite_bijections(n) for n in (3, 4, 5, 6)))
     _report(1, "diagram bijections on 120+720 words and 48+384 signed words", t0)
 
 
 def test_criterion_2_diagram_counts():
     t0 = time.time()
-    for n in (2, 3, 4):
-        assert len(arcs_b.all_diagrams(n)) == 2**n * math.factorial(n)
+    _passes(*(verify.suite_diagram_count(n) for n in (2, 3, 4)))
     _report(2, "compatibility-clique counts 8, 48, 384", t0)
 
 
 def test_criterion_3_cjr_equivalence():
     t0 = time.time()
-    for family, n in (("A", 4), ("B", 3)):
-        W = weak_order_lattice(CoxeterType(family, n))
-        for i in range(W.n):
-            w = W.labels[i]
-            oracle = lat.cjr_oracle(W, i)
-            assert oracle is not None
-            greedy = {x.word for x in cjr_weak(w)}
-            assert greedy == {W.labels[j].word for j in oracle}
-            if family == "B":
-                arcs = {
-                    arcs_b.join_irreducible_word(a, n)
-                    for a in arcs_b.diagram_of_signed(w).arcs
-                }
-            else:
-                arcs = {
-                    arcs_a.join_irreducible_word(a, n)
-                    for a in arcs_a.diagram_of(w.word).arcs
-                }
-            assert arcs == greedy
-    W = weak_order_lattice(CoxeterType("B", 3))
-    rng = random.Random(11)
-    pool = forcing._all_arcs(3)
-    for _ in range(5):
-        theta = forcing.ArcCongruence.from_generators(3, [rng.choice(pool)])
-        classes = [[W.index[pi] for pi in c] for c in forcing.element_partition(theta)]
-        cong = lat.Congruence.from_classes(W, classes)
-        assert lat.cjr_quotient_check(W, cong)
+    _passes(
+        verify.suite_cjr(4, "A"),
+        verify.suite_cjr(3, "B"),
+        verify.suite_cjr_quotient(3, samples=5, seed=11),
+    )
     _report(3, "canonical joins agree on all of ranks 4/3 plus 5 quotients", t0)
 
 
 def test_criterion_4_forcing_triangle():
     t0 = time.time()
-    for n in (2, 3, 4, 5):
-        arcs = arcs_b.all_arcs(n)
-        closure = forcing.arrow_closure(arcs)
-        for a in arcs:
-            for b in arcs:
-                assert (b in closure[a]) == forcing.is_subarc(a, b)
-    W = weak_order_lattice(CoxeterType("B", 3))
-    jis = list(lat.join_irreducibles(W))
-    arcs3 = {j.element: arcs_b.arc_of_join_irreducible(W.labels[j.element]) for j in jis}
-    for j1 in jis:
-        theta = lat.principal_congruence(W, j1)
-        for j2 in jis:
-            assert theta.same(j2.element, j2.lower) == forcing.is_subarc(
-                arcs3[j1.element], arcs3[j2.element]
-            )
-    W4 = weak_order_lattice(CoxeterType("B", 4))
-    jis4 = list(lat.join_irreducibles(W4))
-    arcs4 = {j.element: arcs_b.arc_of_join_irreducible(W4.labels[j.element]) for j in jis4}
-    rng = random.Random(3)
-    cache = {}
-    for _ in range(500):
-        j1, j2 = rng.choice(jis4), rng.choice(jis4)
-        if j1.element not in cache:
-            cache[j1.element] = lat.principal_congruence(W4, j1)
-        assert cache[j1.element].same(j2.element, j2.lower) == forcing.is_subarc(
-            arcs4[j1.element], arcs4[j2.element]
-        )
+    _passes(*(verify.suite_forcing_closure(n) for n in (2, 3, 4, 5)))
+    _passes(*(verify.suite_forcing_oracle(n, samples=500, seed=3) for n in (3, 4)))
     _report(4, "subarc = arrow closure (n<=5) = congruence forcing (rank 3 full, rank 4 sampled)", t0)
 
 
 def test_criterion_5_geometric_cross_check():
     t0 = time.time()
     for family, n in (("B", 2), ("B", 3), ("A", 3), ("A", 4)):
-        arr = geo.coxeter_arrangement(CoxeterType(family, n))
-        W = weak_order_lattice(CoxeterType(family, n))
-        iso = geo.weak_order_isomorphism(arr, W)
-        P = geo.poset_of_regions(arr)
-        assert lat.is_isomorphic(P, W)
-        shards = geo.shards(arr)
-        jis = list(lat.join_irreducibles(W))
-        assert len(shards) == len(jis)
-        by_signs = {iso[i].signs: i for i in iso}
-        shard_of = {}
-        for s in shards:
-            r = geo.min_upper_region(arr, s, shards)
-            shard_of[by_signs[r.signs]] = s
-        assert set(shard_of) == {j.element for j in jis}
-        for i, s in shard_of.items():
-            if family == "B":
-                desc = arcs_b.shard_descriptor(arcs_b.arc_of_join_irreducible(W.labels[i]))
-            else:
-                desc = arcs_a.shard_descriptor(arcs_a.arc_of_join_irreducible(W.labels[i].word))
-            assert geo.descriptor_matches(arr, s, desc, n)
-        order = sorted(shard_of)
-        idx = {i: k for k, i in enumerate(order)}
-        reach = [1 << k for k in range(len(order))]
-        for i, j in itertools.product(order, order):
-            g = geo.shard_arrow_geometric(arr, shard_of[i], shard_of[j])
-            assert g == geo.arrow_witness_check(arr, shard_of[i], shard_of[j], shards)
-            if family == "B":
-                a1 = arcs_b.arc_of_join_irreducible(W.labels[i])
-                a2 = arcs_b.arc_of_join_irreducible(W.labels[j])
-                assert g == forcing.has_arrow(a1, a2)
-            if g and i != j:
-                reach[idx[i]] |= 1 << idx[j]
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(order)):
-                m = reach[k]
-                probe = m
-                while probe:
-                    low = probe & -probe
-                    m |= reach[low.bit_length() - 1]
-                    probe ^= low
-                if m != reach[k]:
-                    reach[k] = m
-                    changed = True
-        ji_by_el = {j.element: j for j in jis}
-        for i, j in itertools.product(order, order):
-            assert bool(reach[idx[i]] >> idx[j] & 1) == lat.forcing_oracle(
-                W, ji_by_el[i], ji_by_el[j]
-            )
+        _passes(verify.suite_geometry(n, family), verify.suite_shard_digraph(n, family))
     _report(5, "regions, pieces, descriptors, arrows, and closures at four arrangements", t0)
 
 
 def test_criterion_6_octagon_fact():
     t0 = time.time()
-    W = weak_order_lattice(CoxeterType("B", 2))
-    hexagon = weak_order_lattice(CoxeterType("A", 3))
-    winners = []
-    for cong in lat.all_congruences(W):
-        if len(cong.classes()) == 6 and lat.is_isomorphic(lat.quotient(W, cong), hexagon):
-            winners.append(cong)
-    assert len(winners) == 4
-    pa = {SignedPermutation((2, -1)), SignedPermutation((-2, -1))}
-    pb = {SignedPermutation((-2, 1)), SignedPermutation((1, -2))}
-    for cong in winners:
-        cj = {W.labels[j.element] for j in lat.contracted_jis(W, cong)}
-        assert len(cj & pa) == 1 and len(cj & pb) == 1
+    _passes(verify.suite_octagon())
     _report(6, "exactly 4 hexagon-quotient congruences of the octagon", t0)
 
 
 def test_criterion_7_hom_predicates():
     t0 = time.time()
-    for n in (3, 4):
-        for variant in ("simion", "nonhom", "delta", "delta_mirror"):
-            catalog.hom_congruence(n, variant)  # closed form asserted inside
-    q = forcing.quotient_lattice(catalog.hom_congruence(3, "nonhom"))
-    assert q.n == 24
-    assert lat.is_isomorphic(q, weak_order_lattice(CoxeterType("A", 4)))
+    _passes(verify.suite_hom(3), verify.suite_hom(4))
     _report(7, "closed-form contracted sets at ranks 3 and 4; 24-element quotient", t0)
 
 
 def test_criterion_8_cambrian():
     t0 = time.time()
-    sizes = {2: 6, 3: 20, 4: 70}
-    for n in (2, 3, 4):
-        designations = [Designation(t) for t in itertools.product("RL", repeat=n - 1)]
-        if n == 4:
-            designations = random.Random(5).sample(designations, 4)
-        for d in designations:
-            theta = catalog.cambrian_congruence(n, d)
-            members = set(forcing.quotient_elements(theta))
-            assert len(members) == sizes[n] == math.comb(2 * n, n)
-            for pi in all_signed_permutations(n):
-                assert catalog.cambrian_pattern_test(pi, d) == (pi in members)
-            acc = None
-            for arc in catalog.cambrian_meet_rep(n, d):
-                mi = forcing.meet_irreducible_congruence(n, arc)
-                acc = mi if acc is None else forcing.congruence_meet(acc, mi)
-            assert acc.contracted == theta.contracted
-            seen = set()
-            for pi in members:
-                D = arcs_b.diagram_of_signed(pi)
-                part = catalog.ncp_of_diagram(D, d)
-                assert catalog.diagram_of_ncp(part, d) == D
-                assert part not in seen
-                seen.add(part)
+    _passes(*(verify.suite_cambrian(n, max_designations=4, seed=5) for n in (2, 3, 4)))
     _report(8, "pattern sets, sizes 6/20/70, meet representations, partition roundtrips", t0)
 
 
 def test_criterion_9_bicambrian_closed_forms_and_meets():
     t0 = time.time()
     for n in (3, 4):
-        bi = catalog.bicambrian_bipartite(n)  # asserts closed form = meet
-        assert catalog.bicambrian_bipartite_generated(n).contracted == bi.contracted
-        catalog.bicambrian_linear(n)  # asserts closed form = meet
+        report = verify.suite_bicambrian(n)
+        assert LINEAR_GENERATORS in _passed(report)
+        assert {c["name"] for c in _failed(report)} <= {LINEAR_GENERATORS}, _failed(report)
     _report(9, "bipartite generators and both closed forms equal the meets", t0)
 
 
@@ -247,58 +105,16 @@ def test_criterion_9_bicambrian_closed_forms_and_meets():
     "meet on the rank-3 lattice",
 )
 def test_criterion_9_linear_generators(n):
-    gen = catalog.bicambrian_linear_generated(n)
-    assert gen.contracted == catalog.bicambrian_linear(n).contracted
+    assert _passed(verify.suite_bicambrian(n))[LINEAR_GENERATORS]
 
 
 def test_criterion_10_symmetric_restrictions():
     t0 = time.time()
-    for n in (2, 3):
-        if n == 2:
-            thetas = forcing.all_congruences(2)
-        else:
-            pool = forcing._all_arcs(3)
-            seen = {frozenset(): forcing.ArcCongruence.identity(3)}
-            for a in pool:
-                t = forcing.ArcCongruence.from_generators(3, [a])
-                seen[t.contracted] = t
-            for a, b in itertools.combinations(pool, 2):
-                t = forcing.ArcCongruence.from_generators(3, [a, b])
-                seen[t.contracted] = t
-            thetas = list(seen.values())
-        elements = list(all_signed_permutations(n))
-        members = []
-        for theta in thetas:
-            closed = forcing.is_in_con_a(theta)
-            gens = [a for arc in theta.contracted for a in arcs_b.unfold_arcs(arc)]
-            lifted = forcing.ArcCongruenceA.from_generators(n, gens)
-            assert lifted.is_symmetric()
-            pb = {pi: forcing.project(pi, theta) for pi in elements}
-            pa = {pi: forcing.project_word(unfold(pi), lifted) for pi in elements}
-            restricts = all(
-                (pb[x] == pb[y]) == (pa[x] == pa[y])
-                for x, y in itertools.combinations(elements, 2)
-            )
-            assert closed == restricts
-            if closed:
-                members.append(theta)
-        pairs = list(itertools.combinations(members, 2))
-        if len(pairs) > 400:
-            pairs = random.Random(2).sample(pairs, 400)
-        for t1, t2 in pairs:
-            assert forcing.is_in_con_a(forcing.congruence_meet(t1, t2))
-            assert forcing.is_in_con_a(forcing.congruence_join(t1, t2))
-    assert not forcing.is_in_con_a(catalog.hom_congruence(3, "simion"))
-    assert forcing.is_in_con_a(catalog.hom_congruence(3, "nonhom"))
-    assert not forcing.is_in_con_a(catalog.hom_congruence(3, "delta"))
+    _passes(verify.suite_con_a(2), verify.suite_con_a(3))
     _report(10, "loose closure = symmetric preimage; family closed under meets/joins", t0)
 
 
 def test_criterion_11_symmetry():
     t0 = time.time()
-    for n in (2, 3):
-        values = [v for v in range(-n, n + 1) if v != 0]
-        for word in itertools.permutations(values):
-            lhs = arcs_a.diagram_of(word_w0_conjugate(word))
-            assert lhs == arcs_a.half_turn(arcs_a.diagram_of(word))
+    _passes(verify.suite_symmetry(2), verify.suite_symmetry(3))
     _report(11, "conjugation by the longest element acts as the half turn", t0)

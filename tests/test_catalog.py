@@ -57,12 +57,18 @@ def test_parabolic_quotient_sizes(n):
         assert len(forcing.quotient_elements(theta)) == expect
 
 
+def test_parabolic_closed_forms():
+    for n in (2, 3, 4, 5):
+        for k in range(n):
+            for gens in itertools.combinations(range(n), k):
+                theta = parabolic_congruence(n, gens)
+                assert theta.contracted == catalog.parabolic_closed_form(n, gens), (n, gens)
+
+
 @pytest.mark.parametrize("variant", ["simion", "nonhom", "delta", "delta_mirror"])
 def test_hom_closed_forms(variant):
-    # closed-form equality is asserted inside the constructor
-    hom_congruence(3, variant)
-    if variant != "nonhom":
-        hom_congruence(4, variant)
+    for n in (3, 4) if variant != "nonhom" else (3,):
+        assert hom_congruence(n, variant).contracted == catalog.hom_closed_form(n, variant)
 
 
 def test_hom_rank_two_contractions():
@@ -198,9 +204,10 @@ def test_alternating_examples():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_bicambrian_closed_forms_and_meets(n):
-    # closed-form equality with the meet construction is asserted inside
     bi = bicambrian_bipartite(n)
     lin = bicambrian_linear(n)
+    assert bi.contracted == catalog.bicambrian_closed_form(n, "bipartite")
+    assert lin.contracted == catalog.bicambrian_closed_form(n, "linear")
     gen = catalog.bicambrian_bipartite_generated(n)
     assert gen.contracted == bi.contracted
     assert lin.contracted != bi.contracted

@@ -5,6 +5,7 @@ weak order, with lattice-theoretic and geometric cross-checks."""
 from .lattice import (
     Congruence,
     FiniteLattice,
+    InvariantError,
     JoinIrreducible,
     NotALattice,
     ScopeExceeded,

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from . import arcs_a
 from .arcs_a import ArcA, DiagramA
-from .lattice import ScopeExceeded
+from .lattice import InvariantError, ScopeExceeded
 from .permutations import SignedPermutation, fold, unfold
 from .util import between
 
@@ -131,6 +131,11 @@ TypeBArc = Union[OrdinaryArc, OrbifoldArc, LongArc]
 
 def arc_key(arc: TypeBArc) -> tuple:
     return arc.key()
+
+
+def top_point(arc: TypeBArc) -> int:
+    """The highest point the arc reaches."""
+    return max(arc.left_end, arc.right_end) if isinstance(arc, LongArc) else arc.top
 
 
 def _unfold_long_raw(left_end: int, right_end: int, left: frozenset, right: frozenset) -> Tuple[ArcA, ArcA]:
@@ -263,8 +268,7 @@ class DiagramB:
 
     def __post_init__(self):
         for arc in self.arcs:
-            top = arc.top if not isinstance(arc, LongArc) else max(arc.left_end, arc.right_end)
-            if top > self.n:
+            if top_point(arc) > self.n:
                 raise InvalidArc(f"{arc} does not fit on {self.n} points")
         for a, b in itertools.combinations(sorted(self.arcs, key=arc_key), 2):
             if not compatible(a, b):
@@ -405,7 +409,8 @@ def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
     if not is_join_irreducible_signed(pi):
         raise NotJoinIrreducible(f"{pi} is not join-irreducible")
     arcs = diagram_of_signed(pi).arcs
-    assert len(arcs) == 1
+    if len(arcs) != 1:
+        raise InvariantError(f"diagram of join-irreducible {pi} has {len(arcs)} arcs")
     return next(iter(arcs))
 
 

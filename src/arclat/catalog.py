@@ -65,6 +65,8 @@ def _arcs_where(n: int, pred) -> frozenset:
 def parabolic_congruence(n: int, gens: Iterable[int]) -> ArcCongruence:
     """Congruence generated by contracting a set of simple generators."""
     gens = sorted(set(gens))
+    if any(not 0 <= i < n for i in gens):
+        raise ValueError(f"generators must lie in 0..{n - 1}, got {gens}")
     return ArcCongruence.from_generators(n, [simple_arc(i, n) for i in gens])
 
 
@@ -404,10 +406,8 @@ def bicambrian_linear_generated(n: int) -> ArcCongruence:
 
 
 def _passes_left_somewhere(arc: TypeBArc) -> bool:
-    top = max(arc.left_end, arc.right_end) if isinstance(arc, LongArc) else arc.top
-    return any(passes_left_of(arc, v) for v in range(1, top))
+    return any(passes_left_of(arc, v) for v in range(1, arcs_b.top_point(arc)))
 
 
 def _passes_right_somewhere(arc: TypeBArc) -> bool:
-    top = max(arc.left_end, arc.right_end) if isinstance(arc, LongArc) else arc.top
-    return any(passes_right_of(arc, v) for v in range(1, top))
+    return any(passes_right_of(arc, v) for v in range(1, arcs_b.top_point(arc)))

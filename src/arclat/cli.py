@@ -1,7 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 semantic error (invalid or unknown object).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(--n below 1 included), 3 an invalid or unknown object, or a scope the
+library refuses: quotient elements n >= 7, --hasse n >= 5, congruences
+and arrows n >= 8, diagrams n >= 6, shards beyond A4/B3, weak orders
+beyond A6/B4, suites bijections n >= 9, con-a n >= 4, symmetry n >= 5,
+octagon n != 2.
 """
 
 from __future__ import annotations
@@ -25,8 +29,16 @@ class CliError(Exception):
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(2, f"malformed JSON: {exc}") from exc
+
+
+def rank(text: str) -> int:
+    """The argparse type of every --n: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"rank must be at least 1, got {n}")
+    return n
 
 
 def _emit(obj) -> None:
@@ -35,28 +47,21 @@ def _emit(obj) -> None:
 
 
 def cmd_map(args) -> int:
-    if (args.perm is None) == (args.diagram is None):
-        raise CliError(2, "provide exactly one of --perm or --diagram")
-    try:
-        if args.perm is not None:
-            word = _load_json(args.perm)
-            pi = serialize.permutation_from_json(word, signed=args.type == "b")
-            if args.type == "b":
-                _emit(serialize.diagram_b_to_json(arcs_b.diagram_of_signed(pi)))
-            else:
-                _emit(serialize.diagram_a_to_json(arcs_a.diagram_of(pi.word)))
+    if args.perm is not None:
+        word = _load_json(args.perm)
+        pi = serialize.permutation_from_json(word, signed=args.type == "b")
+        if args.type == "b":
+            _emit(serialize.diagram_b_to_json(arcs_b.diagram_of_signed(pi)))
         else:
-            data = _load_json(args.diagram)
-            if args.type == "b":
-                pi = arcs_b.signed_of_diagram(serialize.diagram_b_from_json(data))
-            else:
-                pi = serialize.diagram_a_from_json(data)
-                pi = serialize.permutation_from_json(arcs_a.word_of(pi), signed=False)
-            _emit(serialize.permutation_to_json(pi))
-    except CliError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(3, str(exc)) from exc
+            _emit(serialize.diagram_a_to_json(arcs_a.diagram_of(pi.word)))
+    else:
+        data = _load_json(args.diagram)
+        if args.type == "b":
+            pi = arcs_b.signed_of_diagram(serialize.diagram_b_from_json(data))
+        else:
+            pi = serialize.diagram_a_from_json(data)
+            pi = serialize.permutation_from_json(arcs_a.word_of(pi), signed=False)
+        _emit(serialize.permutation_to_json(pi))
     return 0
 
 
@@ -76,80 +81,57 @@ def named_congruence(name: str, n: int) -> forcing.ArcCongruence:
         return catalog.bicambrian_bipartite(n)
     if name == "bicambrian-linear":
         return catalog.bicambrian_linear(n)
-    raise KeyError(name)
+    raise ValueError(f"unknown congruence {name!r}")
 
 
 def cmd_quotient(args) -> int:
-    try:
-        if args.congruence.strip().startswith("{"):
-            theta = serialize.congruence_from_json(_load_json(args.congruence))
-            if theta.n != args.n:
-                raise ValueError("congruence rank does not match --n")
-        else:
-            theta = named_congruence(args.congruence, args.n)
-        elems = forcing.quotient_elements(theta)
-        if args.count:
-            _emit({"count": len(elems)})
-        elif args.hasse:
-            latt = forcing.quotient_lattice(theta)
-            _emit(
-                {
-                    "elements": [list(w.word) for w in latt.labels],
-                    "covers": latt.covers(),
-                }
-            )
-        else:
-            _emit({"elements": sorted(list(w.word) for w in elems)})
-    except CliError:
-        raise
-    except (KeyError,) as exc:
-        raise CliError(3, f"unknown congruence {args.congruence!r}") from exc
-    except (ValueError, ScopeExceeded, NotALattice) as exc:
-        raise CliError(3, str(exc)) from exc
+    if args.congruence.strip().startswith("{"):
+        theta = serialize.congruence_from_json(_load_json(args.congruence))
+        if theta.n != args.n:
+            raise ValueError("congruence rank does not match --n")
+    else:
+        theta = named_congruence(args.congruence, args.n)
+    elems = forcing.quotient_elements(theta)
+    if args.count:
+        _emit({"count": len(elems)})
+    elif args.hasse:
+        latt = forcing.quotient_lattice(theta)
+        _emit(
+            {
+                "elements": [list(w.word) for w in latt.labels],
+                "covers": latt.covers(),
+            }
+        )
+    else:
+        _emit({"elements": sorted(list(w.word) for w in elems)})
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify.run_suite(args.suite, args.n)
-    except KeyError as exc:
-        raise CliError(3, f"unknown suite {args.suite!r}") from exc
-    except ScopeExceeded as exc:
-        raise CliError(3, str(exc)) from exc
+    report = verify.run_suite(args.suite, args.n)
     _emit(report)
     return 0 if report["pass"] else 1
 
 
 def cmd_render(args) -> int:
-    try:
-        data = _load_json(args.diagram)
-        diagram = serialize.diagram_b_from_json(data)
-        spec = render.RenderSpec(
-            format=args.format, width=args.width, height=args.height, spacing=args.spacing
-        )
-        sys.stdout.write(render.render(diagram, spec))
-    except CliError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise CliError(3, str(exc)) from exc
+    diagram = serialize.diagram_b_from_json(_load_json(args.diagram))
+    spec = render.RenderSpec(
+        format=args.format, width=args.width, height=args.height, spacing=args.spacing
+    )
+    sys.stdout.write(render.render(diagram, spec))
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        if args.what == "arcs":
-            if args.type == "b":
-                _emit([serialize.arc_b_to_json(a) for a in arcs_b.all_arcs(args.n)])
-            else:
-                _emit([serialize.arc_a_to_json(a) for a in arcs_a.all_arcs_n(args.n)])
+    if args.what == "arcs":
+        if args.type == "b":
+            _emit([serialize.arc_b_to_json(a) for a in arcs_b.all_arcs(args.n)])
         else:
-            if args.type != "b":
-                raise ValueError("diagram enumeration is only available for --type b")
-            _emit([serialize.diagram_b_to_json(d) for d in arcs_b.all_diagrams(args.n)])
-    except CliError:
-        raise
-    except (ValueError, ScopeExceeded) as exc:
-        raise CliError(3, str(exc)) from exc
+            _emit([serialize.arc_a_to_json(a) for a in arcs_a.all_arcs_n(args.n)])
+    else:
+        if args.type != "b":
+            raise ValueError("diagram enumeration is only available for --type b")
+        _emit([serialize.diagram_b_to_json(d) for d in arcs_b.all_diagrams(args.n)])
     return 0
 
 
@@ -160,60 +142,45 @@ def _two_arcs(args):
 
 
 def cmd_forcing(args) -> int:
-    try:
-        a, b = _two_arcs(args)
-        _emit(
-            {
-                "subarc": forcing.is_subarc(a, b),
-                "loose_subarc": forcing.is_loose_subarc(a, b),
-                "forces": forcing.forces(a, b),
-            }
-        )
-    except CliError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise CliError(3, str(exc)) from exc
+    a, b = _two_arcs(args)
+    _emit(
+        {
+            "subarc": forcing.is_subarc(a, b),
+            "loose_subarc": forcing.is_loose_subarc(a, b),
+            "forces": forcing.forces(a, b),
+        }
+    )
     return 0
 
 
 def cmd_arrows(args) -> int:
-    try:
-        if args.first and args.second:
-            a, b = _two_arcs(args)
-            _emit({"arrow": forcing.has_arrow(a, b)})
-        else:
-            edges = [
-                [serialize.arc_b_to_json(e.source), serialize.arc_b_to_json(e.target)]
-                for e in forcing.arrow_edges(args.n)
-            ]
-            _emit({"n": args.n, "arrows": edges})
-    except CliError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise CliError(3, str(exc)) from exc
+    if args.first and args.second:
+        a, b = _two_arcs(args)
+        _emit({"arrow": forcing.has_arrow(a, b)})
+    else:
+        edges = [
+            [serialize.arc_b_to_json(e.source), serialize.arc_b_to_json(e.target)]
+            for e in forcing.arrow_edges(args.n)
+        ]
+        _emit({"n": args.n, "arrows": edges})
     return 0
 
 
 def cmd_shards(args) -> int:
-    try:
-        cox = CoxeterType(args.type.upper(), args.n)
-        arr = geo.coxeter_arrangement(cox)
-        out = []
-        for sh in geo.shards(arr):
-            out.append(
-                {
-                    "carrier": list(arr.hyperplanes[sh.carrier].normal),
-                    "sides": [
-                        {"normal": list(arr.hyperplanes[k].normal), "sign": s}
-                        for k, s in sh.sides
-                    ],
-                }
-            )
-        _emit({"type": args.type, "n": args.n, "shards": out})
-    except CliError:
-        raise
-    except (ValueError, ScopeExceeded) as exc:
-        raise CliError(3, str(exc)) from exc
+    cox = CoxeterType(args.type.upper(), args.n)
+    arr = geo.coxeter_arrangement(cox)
+    out = []
+    for sh in geo.shards(arr):
+        out.append(
+            {
+                "carrier": list(arr.hyperplanes[sh.carrier].normal),
+                "sides": [
+                    {"normal": list(arr.hyperplanes[k].normal), "sign": s}
+                    for k, s in sh.sides
+                ],
+            }
+        )
+    _emit({"type": args.type, "n": args.n, "shards": out})
     return 0
 
 
@@ -223,13 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="permutation <-> noncrossing arc diagram")
     p.add_argument("--type", choices=("a", "b"), required=True)
-    p.add_argument("--perm", help="permutation as a JSON array")
-    p.add_argument("--diagram", help="diagram as JSON")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--perm", help="permutation as a JSON array")
+    g.add_argument("--diagram", help="diagram as JSON")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("quotient", help="elements, count, or covers of a quotient")
     p.add_argument("--congruence", required=True, help="name or JSON")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--list", action="store_true")
     g.add_argument("--count", action="store_true")
@@ -238,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a diagram")
@@ -252,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list arcs or diagrams")
     p.add_argument("--what", choices=("arcs", "diagrams"), required=True)
     p.add_argument("--type", choices=("a", "b"), default="b")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("forcing", help="subarc and forcing tests for two arcs")
@@ -263,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arrows", help="single forcing steps")
     p.add_argument("first", nargs="?", help="arc JSON")
     p.add_argument("second", nargs="?", help="arc JSON")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=rank, default=3)
     p.set_defaults(func=cmd_arrows)
 
     p = sub.add_parser("shards", help="hyperplane pieces of a reflection arrangement")
     p.add_argument("--type", choices=("a", "b"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.set_defaults(func=cmd_shards)
     return top
 
@@ -281,9 +249,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    # InvariantError stays unmapped: it reports a bug in arclat, not bad input.
+    except (CliError, ValueError, KeyError, TypeError, OverflowError, ScopeExceeded, NotALattice) as exc:
+        print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
+        return exc.code if isinstance(exc, CliError) else 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .arcs_b import (
     SymmetricArc,
     TypeBArc,
 )
-from .lattice import FiniteLattice, ScopeExceeded, build_lattice
+from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
 from .permutations import SignedPermutation, all_signed_permutations
 from .util import between, transitive_closure
 
@@ -251,6 +251,9 @@ def arrow_closure(arcs: Sequence[TypeBArc]) -> Dict[TypeBArc, frozenset]:
 
 @lru_cache(maxsize=None)
 def _all_arcs(n: int) -> tuple:
+    """Every arc on n points; n = 8 has 6,552, too many for up-closure checks."""
+    if n > 7:
+        raise ScopeExceeded("congruences and arrows supported up to n = 7")
     return tuple(arcs_b.all_arcs(n))
 
 
@@ -263,6 +266,8 @@ class ArcCongruence:
 
     def __post_init__(self):
         for arc in self.contracted:
+            if arcs_b.top_point(arc) > self.n:
+                raise ValueError(f"{arc} does not fit on {self.n} points")
             for sup in _all_arcs(self.n):
                 if is_subarc(arc, sup) and sup not in self.contracted:
                     raise ValueError(f"contracted set not closed above {arc}")
@@ -477,6 +482,7 @@ def lift_to_symmetric(theta: ArcCongruence) -> ArcCongruenceA:
         raise NotInConA("uncontracted arcs are not closed under loose subarcs")
     gens = [a for arc in theta.contracted for a in arcs_b.unfold_arcs(arc)]
     lifted = ArcCongruenceA.from_generators(theta.n, gens)
-    assert lifted.is_symmetric()
+    if not lifted.is_symmetric():
+        raise InvariantError(f"lift of {theta} is not symmetric")
     return lifted
 

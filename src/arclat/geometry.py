@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .feasible import LinearSystem
-from .lattice import FiniteLattice, ScopeExceeded, build_lattice
+from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
 from .permutations import CoxeterType, Reflection
 from .util import canonical_normal, dot, unit
 
@@ -280,7 +280,8 @@ def facet_witness(arr: Arrangement, region: Region, wall: int) -> tuple:
     b = dot(arr.oriented[wall], neighbor.witness)
     # combination landing on the wall, strictly inside every other halfspace
     u = [abs(b) * x + abs(a) * y for x, y in zip(region.witness, neighbor.witness)]
-    assert dot(arr.oriented[wall], u) == 0
+    if dot(arr.oriented[wall], u) != 0:
+        raise InvariantError(f"facet witness {u} is off wall {wall}")
     return tuple(u)
 
 
@@ -298,7 +299,8 @@ def lower_shards(arr: Arrangement, region: Region, all_shards: Sequence[ShardCon
             if sh.carrier == wall
             and all(s * dot(arr.oriented[k], u) > 0 for k, s in sh.sides)
         ]
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise InvariantError(f"{len(matches)} shards contain the facet on wall {wall}")
         out.append(matches[0])
     return out
 
@@ -311,9 +313,11 @@ def min_upper_region(arr: Arrangement, shard: ShardCone, all_shards: Sequence[Sh
         for r in uppers
         if not any(q is not r and q.separating() < r.separating() for q in uppers)
     ]
-    assert len(minimal) == 1
+    if len(minimal) != 1:
+        raise InvariantError(f"shard {shard} has {len(minimal)} minimal upper regions")
     best = minimal[0]
-    assert all(best.separating() <= r.separating() for r in uppers)
+    if not all(best.separating() <= r.separating() for r in uppers):
+        raise InvariantError(f"minimal upper region of {shard} is not the minimum")
     return best
 
 

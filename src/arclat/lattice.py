@@ -23,6 +23,10 @@ class ScopeExceeded(Exception):
     """Raised when an input is outside the supported desk scale."""
 
 
+class InvariantError(Exception):
+    """Raised when an internal invariant fails: a bug in arclat, not bad input."""
+
+
 @dataclass(frozen=True)
 class JoinIrreducible:
     element: int
@@ -240,13 +244,10 @@ class Congruence:
 
     @classmethod
     def from_classes(cls, lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> "Congruence":
-        class_of = [-1] * lat.n
-        for cid, members in enumerate(classes):
-            for m in members:
-                class_of[m] = cid
-        if any(c < 0 for c in class_of):
-            raise ValueError("partition does not cover all elements")
-        return cls(lat, class_of)
+        parsed = _partition(lat, classes)
+        if parsed is None:
+            raise ValueError("classes do not partition the elements")
+        return cls(lat, parsed[1])
 
     def classes(self) -> tuple:
         if self._classes is None:

@@ -204,6 +204,8 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+    if n > 6:
+        raise ScopeExceeded("signed permutations enumerated up to n = 6")
     for base in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(tuple(s * v for s, v in zip(signs, base)))

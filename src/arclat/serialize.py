@@ -25,7 +25,7 @@ def arc_a_to_json(arc: ArcA) -> dict:
 
 
 def arc_a_from_json(data: dict) -> ArcA:
-    if data.get("kind", "ordinary") != "ordinary":
+    if (data["kind"] if "kind" in data else "ordinary") != "ordinary":
         raise ValueError("plain arcs must have kind 'ordinary'")
     return arcs_a.make_arc(int(data["bottom"]), int(data["top"]), [int(v) for v in data["right"]])
 
@@ -89,9 +89,10 @@ def diagram_b_to_json(diagram: DiagramB) -> dict:
 
 
 def diagram_b_from_json(data: dict) -> DiagramB:
-    return DiagramB(
-        int(data["n"]), frozenset(arc_b_from_json(a) for a in data["arcs"])
-    )
+    n = int(data["n"])
+    if n < 1:
+        raise ValueError(f"a diagram needs at least one point, got n = {n}")
+    return DiagramB(n, frozenset(arc_b_from_json(a) for a in data["arcs"]))
 
 
 def congruence_to_json(theta: ArcCongruence) -> dict:
@@ -147,4 +148,6 @@ def permutation_to_json(pi) -> list:
 
 def permutation_from_json(data: Iterable, signed: bool):
     word = tuple(int(v) for v in data)
+    if not word:
+        raise ValueError("a permutation needs at least one entry")
     return SignedPermutation(word) if signed else Permutation(word)

@@ -42,6 +42,8 @@ class Report:
 
 
 def suite_bijections(n: int) -> dict:
+    if n > 8:
+        raise lat.ScopeExceeded("bijections suite supported up to n = 8")
     rep = Report("bijections", n)
     bad = None
     for w in itertools.permutations(range(1, n + 1)):
@@ -246,6 +248,8 @@ def suite_geometry(n: int, family: str = "B") -> dict:
 
 
 def suite_octagon(n: int = 2) -> dict:
+    if n != 2:
+        raise lat.ScopeExceeded("octagon suite is defined for n = 2 only")
     rep = Report("octagon", 2)
     W = weak_order_lattice(CoxeterType("B", 2))
     hexagon = weak_order_lattice(CoxeterType("A", 3))
@@ -358,6 +362,8 @@ def suite_bicambrian(n: int) -> dict:
 
 
 def suite_con_a(n: int) -> dict:
+    if n > 3:
+        raise lat.ScopeExceeded("con-a suite supported up to n = 3")
     rep = Report("con-a", n)
     if n == 2:
         thetas = forcing.all_congruences(2)
@@ -417,6 +423,8 @@ def suite_con_a(n: int) -> dict:
 
 def suite_symmetry(n: int) -> dict:
     """Half-turn equivariance of the diagram map on +/-labeled points."""
+    if n > 4:
+        raise lat.ScopeExceeded("symmetry suite supported up to n = 4")
     rep = Report("symmetry", n)
     values = [v for v in range(-n, n + 1) if v != 0]
     bad = None
@@ -450,5 +458,5 @@ SUITES: Dict[str, Callable] = {
 
 def run_suite(name: str, n: int) -> dict:
     if name not in SUITES:
-        raise KeyError(name)
+        raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](n)

@@ -45,6 +45,12 @@ def test_parabolic_full_set_collapses():
     assert len(forcing.quotient_elements(theta)) == 1
 
 
+def test_parabolic_rejects_generators_out_of_range():
+    for gens in ([9], [3], [0, -1]):
+        with pytest.raises(ValueError):
+            parabolic_congruence(3, gens)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_parabolic_quotient_sizes(n):
     for i in range(n):

@@ -157,6 +157,27 @@ def test_up_closure_validation():
         ArcCongruence(3, frozenset([s0]))
 
 
+def test_contracted_arcs_must_fit():
+    with pytest.raises(ValueError, match="does not fit"):
+        ArcCongruence(2, frozenset([OrbifoldArc(5, frozenset())]))
+
+
+@pytest.mark.parametrize(
+    "work",
+    [
+        lambda: forcing.quotient_elements(ArcCongruence.identity(7)),
+        lambda: forcing.element_partition(ArcCongruence.identity(7)),
+        lambda: ArcCongruence.full(8),
+        lambda: ArcCongruence.from_generators(9, [OrbifoldArc(1, frozenset())]),
+        lambda: forcing.arrow_edges(8),
+        lambda: catalog.cambrian_congruence(8, catalog.Designation(tuple("R" * 7))),
+    ],
+)
+def test_scope_guards(work):
+    with pytest.raises(lat.ScopeExceeded):
+        work()
+
+
 def test_quotient_elements_sizes():
     import math
 

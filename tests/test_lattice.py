@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -101,6 +103,30 @@ def test_is_congruence_rejects_atom_merge():
     classes = [atoms] + [[i] for i in L.elements() if i not in atoms]
     assert not is_congruence(L, classes)
     assert not is_congruence_algebraic(L, classes)
+
+
+def test_from_classes_rejects_overlaps_and_gaps():
+    L = build_lattice(hexagon_covers())
+    elems = list(L.elements())
+    with pytest.raises(ValueError):
+        Congruence.from_classes(L, [elems, elems[:1]])
+    with pytest.raises(ValueError):
+        Congruence.from_classes(L, [elems[1:]])
+    assert Congruence.from_classes(L, [elems[:1], elems[1:]]).classes() == (
+        tuple(elems[:1]),
+        tuple(elems[1:]),
+    )
+
+
+def test_library_has_no_assert_statements():
+    """Invariants raise InvariantError, so they still hold under python -O."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(lat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_congruence_tests_agree_on_all_partitions_of_hexagon():

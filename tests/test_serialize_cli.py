@@ -1,23 +1,25 @@
+import contextlib
 import io
 import json
-import sys
+import random
+import time
 
 import pytest
 
-from arclat import arcs_a, arcs_b, catalog, cli, forcing, serialize
+from arclat import arcs_a, arcs_b, catalog, cli, forcing, serialize, verify
 from arclat.catalog import Designation
 from arclat.permutations import SignedPermutation, all_signed_permutations
 
 
-def run_cli(*argv):
-    buf = io.StringIO()
-    old = sys.stdout
-    sys.stdout = buf
-    try:
+def run_cli_full(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    finally:
-        sys.stdout = old
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv):
+    return run_cli_full(*argv)[:2]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -86,6 +88,8 @@ def test_quotient_json_congruence():
     text = json.dumps(serialize.congruence_to_json(theta))
     code, out = run_cli("quotient", "--congruence", text, "--n", "2", "--count")
     assert code == 0 and json.loads(out) == {"count": 2}
+    code, _, err = run_cli_full("quotient", "--congruence", '{"n":2}', "--n", "2", "--count")
+    assert code == 3 and "'contracted'" in err
 
 
 def test_quotient_hasse():
@@ -163,3 +167,144 @@ def test_render_subcommand():
     assert out == out2
     code, out = run_cli("render", "--diagram", text, "--format", "ascii")
     assert code == 0 and "x" in out
+
+
+# Malformed inputs and ranks below 1, each with the exit code it must end with.
+ERROR_CONTRACT = [
+    (["map", "--type", "b", "--perm", "[]"], 3),
+    (["map", "--type", "b", "--perm", "[1e400]"], 3),
+    (["map", "--type", "b", "--diagram", '{"n":0,"arcs":[]}'], 3),
+    (["map", "--type", "a", "--diagram", '{"n":2,"arcs":[5]}'], 3),
+    (["map", "--type", "b", "--perm", "[" * 5000 + "]" * 5000], 2),
+    (["quotient", "--congruence", "identity", "--n", "0", "--count"], 2),
+    (["verify", "--suite", "cjr", "--n", "0"], 2),
+    (["verify", "--suite", "bijections", "--n", "0"], 2),
+    (["render", "--diagram", "[]"], 3),
+    (["render", "--diagram", '{"n":2,"arcs":[5]}'], 3),
+    (["render", "--diagram", '{"n":-3,"arcs":[]}', "--format", "ascii"], 3),
+    (["forcing", "[]", "{}"], 3),
+    (["enumerate", "--what", "arcs", "--n", "-1"], 2),
+    (["enumerate", "--what", "diagrams", "--n", "0"], 2),
+    (["arrows", "--n", "0"], 2),
+    (["quotient", "--congruence", '{"n":2}', "--n", "2", "--count"], 3),
+    (
+        [
+            "quotient",
+            "--congruence",
+            '{"n":2,"contracted":[{"kind":"orbifold","top":5,"right":[]}]}',
+            "--n",
+            "2",
+            "--count",
+        ],
+        3,
+    ),
+]
+
+# One rank just past each scope guard (and an out-of-range generator): each
+# is refused with exit 3 before the work starts.
+REFUSED = [
+    ["quotient", "--congruence", "identity", "--n", "7", "--count"],
+    ["quotient", "--congruence", "identity", "--n", "5", "--hasse"],
+    ["quotient", "--congruence", "full", "--n", "8", "--count"],
+    ["quotient", "--congruence", "full", "--n", "9", "--count"],
+    ["quotient", "--congruence", "parabolic:s9", "--n", "3", "--count"],
+    ["arrows", "--n", "8"],
+    ["enumerate", "--what", "diagrams", "--n", "6"],
+    ["shards", "--type", "a", "--n", "5"],
+    ["shards", "--type", "b", "--n", "4"],
+    ["verify", "--suite", "con-a", "--n", "4"],
+    ["verify", "--suite", "bijections", "--n", "9"],
+    ["verify", "--suite", "symmetry", "--n", "5"],
+    ["verify", "--suite", "octagon", "--n", "7"],
+    ["verify", "--suite", "octagon", "--n", "1"],
+    ["verify", "--suite", "cjr", "--n", "5"],
+    ["verify", "--suite", "cjr-quotient", "--n", "5"],
+    ["verify", "--suite", "forcing-oracle", "--n", "5"],
+    ["verify", "--suite", "geometry", "--n", "4"],
+    ["verify", "--suite", "shard-digraph", "--n", "4"],
+    ["verify", "--suite", "diagram-count", "--n", "6"],
+    ["verify", "--suite", "cambrian", "--n", "8"],
+]
+
+
+@pytest.mark.parametrize("argv,code", ERROR_CONTRACT)
+def test_error_contract(argv, code):
+    got, _, err = run_cli_full(*argv)
+    assert got == code and "error" in err
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_refusals_are_immediate(argv):
+    start = time.perf_counter()
+    code, _, err = run_cli_full(*argv)
+    assert code == 3 and err.startswith("error:")
+    assert time.perf_counter() - start < 2
+
+
+WRONG = [[], {}, 5, None, "2", "x", True, -1, 0, 9, 1.5, float("inf"), [5], {"kind": "bogus"}]
+TEMPLATES = {
+    "perm": [[-2, 1, 3], [3, 1, 2], [1]],
+    "arc": [serialize.arc_b_to_json(a) for a in arcs_b.all_arcs(3)],
+    "diagram": [
+        serialize.diagram_b_to_json(arcs_b.diagram_of_signed(SignedPermutation(w)))
+        for w in ((-2, 1, 3), (3, -1, 2), (1, 2))
+    ],
+    "congruence": [
+        serialize.congruence_to_json(catalog.parabolic_congruence(2, [0])),
+        serialize.congruence_to_json(catalog.hom_congruence(2, "simion")),
+    ],
+}
+NAMES = ["identity", "full", "cambrian:RL", "cambrian:X", "parabolic:s1", "parabolic:",
+         "parabolic:sx", "simion", "nonhom", "bicambrian-linear", "nosuch", ""]
+RANKS = ["-1", "0", "1", "2", "x", "1.5"]
+
+
+def _mutate(value, rng):
+    """Replace one node of a JSON value, chosen at random, by a wrong-shaped
+    value, or drop one key of an object."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.7:
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        k = rng.choice(keys)
+        if isinstance(value, dict) and rng.random() < 0.2:
+            return {key: v for key, v in value.items() if key != k}
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[k] = _mutate(value[k], rng)
+        return copy
+    return rng.choice(WRONG)
+
+
+def malformed_corpus(seed: int, size: int) -> list:
+    """Seeded argv lists over every subcommand: JSON of the wrong shape and
+    ranks at or below the edge."""
+    rng = random.Random(seed)
+
+    def bad(kind):
+        return json.dumps(_mutate(rng.choice(TEMPLATES[kind]), rng))
+
+    builders = [
+        lambda: ["map", "--type", rng.choice("ab"), "--perm", bad("perm")],
+        lambda: ["map", "--type", rng.choice("ab"), "--diagram", bad("diagram")],
+        lambda: ["quotient", "--congruence", bad("congruence"), "--n", rng.choice(RANKS),
+                 rng.choice(["--count", "--list", "--hasse"])],
+        lambda: ["quotient", "--congruence", rng.choice(NAMES), "--n", rng.choice(RANKS), "--count"],
+        lambda: ["verify", "--suite", rng.choice(sorted(verify.SUITES) + ["nosuch"]),
+                 "--n", rng.choice(RANKS)],
+        lambda: ["render", "--diagram", bad("diagram"), "--format", rng.choice(["svg", "ascii", "tikz"])],
+        lambda: ["enumerate", "--what", rng.choice(["arcs", "diagrams"]), "--type", rng.choice("ab"),
+                 "--n", rng.choice(RANKS)],
+        lambda: ["forcing", bad("arc"), bad("arc")],
+        lambda: ["arrows", bad("arc"), bad("arc")],
+        lambda: ["arrows", "--n", rng.choice(RANKS)],
+        lambda: ["shards", "--type", rng.choice("ab"), "--n", rng.choice(RANKS)],
+    ]
+    return [rng.choice(builders)() for _ in range(size)]
+
+
+def test_malformed_corpus_ends_with_a_documented_code():
+    codes = set()
+    for argv in malformed_corpus(seed=7, size=400):
+        code, _, err = run_cli_full(*argv)
+        assert code in (0, 1, 2, 3), argv
+        assert code in (0, 1) or "error" in err, argv
+        codes.add(code)
+    assert {2, 3} <= codes

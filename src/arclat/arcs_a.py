@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .lattice import ScopeExceeded
 from .util import between, components
 
 Word = Tuple[int, ...]
@@ -270,4 +271,7 @@ def all_arcs(points: Sequence[int]) -> List[ArcA]:
 
 
 def all_arcs_n(n: int) -> List[ArcA]:
+    """Every arc on the points 1..n; n = 16 has 65,519."""
+    if n > 16:
+        raise ScopeExceeded("arc enumeration supported up to n = 16")
     return all_arcs(range(1, n + 1))

@@ -415,7 +415,9 @@ def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
 
 
 def all_arcs(n: int) -> List[TypeBArc]:
-    """Every quotient arc on n points."""
+    """Every quotient arc on n points; n = 9 has 19,673."""
+    if n > 9:
+        raise ScopeExceeded("arc enumeration supported up to n = 9")
     out: List[TypeBArc] = []
     for a in arcs_a.all_arcs_n(n):
         out.append(OrdinaryArc(a.bottom, a.top, a.right))

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (--n below 1 included), 3 an invalid or unknown object, or a scope the
-library refuses: quotient elements n >= 7, --hasse n >= 5, congruences
-and arrows n >= 8, diagrams n >= 6, shards beyond A4/B3, weak orders
-beyond A6/B4, suites bijections n >= 9, con-a n >= 4, symmetry n >= 5,
-octagon n != 2.
+library refuses: quotient elements n >= 7 and --hasse n >= 5 (both before
+the congruence is built), congruences and arrows n >= 8, arcs n >= 10
+(type a n >= 17), diagrams n >= 6, shards beyond A4/B3, weak orders
+beyond A6/B4, suites bijections n >= 9, cambrian n >= 6, con-a n >= 4,
+forcing-closure n >= 7, symmetry n >= 5, octagon n != 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from . import arcs_a, arcs_b, catalog, forcing, geometry as geo, render, serialize, verify
 from .catalog import Designation
 from .lattice import NotALattice, ScopeExceeded
-from .permutations import CoxeterType
+from .permutations import CoxeterType, check_signed_rank
 
 
 class CliError(Exception):
@@ -85,25 +86,22 @@ def named_congruence(name: str, n: int) -> forcing.ArcCongruence:
 
 
 def cmd_quotient(args) -> int:
+    check_signed_rank(args.n)  # every form scans the signed permutations
+    if args.hasse:
+        forcing.check_lattice_rank(args.n)
     if args.congruence.strip().startswith("{"):
         theta = serialize.congruence_from_json(_load_json(args.congruence))
         if theta.n != args.n:
             raise ValueError("congruence rank does not match --n")
     else:
         theta = named_congruence(args.congruence, args.n)
-    elems = forcing.quotient_elements(theta)
-    if args.count:
-        _emit({"count": len(elems)})
-    elif args.hasse:
+    if args.hasse:
         latt = forcing.quotient_lattice(theta)
-        _emit(
-            {
-                "elements": [list(w.word) for w in latt.labels],
-                "covers": latt.covers(),
-            }
-        )
+        _emit({"elements": [list(w.word) for w in latt.labels], "covers": latt.covers()})
+    elif args.count:
+        _emit({"count": len(forcing.quotient_elements(theta))})
     else:
-        _emit({"elements": sorted(list(w.word) for w in elems)})
+        _emit({"elements": sorted(list(w.word) for w in forcing.quotient_elements(theta))})
     return 0
 
 

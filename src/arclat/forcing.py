@@ -10,8 +10,9 @@ contracted descents one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import arcs_a, arcs_b
 from .arcs_a import ArcA
@@ -25,13 +26,14 @@ from .arcs_b import (
 )
 from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
 from .permutations import SignedPermutation, all_signed_permutations
-from .util import between, transitive_closure
+from .util import between, bits, transitive_closure
 
 
 class NotInConA(ValueError):
     """Raised when lifting a congruence with no symmetric preimage."""
 
 
+@lru_cache(maxsize=None)
 def _rng(lo: int, hi: int) -> frozenset:
     return frozenset(range(lo + 1, hi))
 
@@ -152,10 +154,6 @@ def _canonical_rep(arc: TypeBArc) -> ArcA:
     return next(a for a in reps if a.bottom < 0 < a.top)
 
 
-def _pairs_compatible(p1, p2) -> bool:
-    return all(arcs_a.compatible(x, y) for x in p1 for y in p2)
-
-
 def _chain_arrow(a1: TypeBArc, a2: TypeBArc) -> bool:
     """Source and target cones lie in a three-hyperplane degree-two slice.
 
@@ -182,7 +180,7 @@ def _chain_arrow(a1: TypeBArc, a2: TypeBArc) -> bool:
         if partner != anti and not arcs_a.compatible(partner, anti):
             continue
         partner_pair = (partner,) if partner == anti else (partner, anti)
-        if _pairs_compatible(members, partner_pair):
+        if all(arcs_a.compatible(x, y) for x in members for y in partner_pair):
             return True
     return False
 
@@ -257,6 +255,58 @@ def _all_arcs(n: int) -> tuple:
     return tuple(arcs_b.all_arcs(n))
 
 
+class ArcTable:
+    """One arc model on n points: its arcs in a fixed order, their index, and
+    one bitmask row per arc.  Bit j of row i is set when
+    relation(arcs[i], arcs[j]) holds; a row is computed the first time it is
+    asked for, then kept."""
+
+    def __init__(self, n: int, arcs: Sequence, relation: Callable[[object, object], bool]):
+        self.n = n
+        self.arcs = tuple(arcs)
+        self.index = {a: i for i, a in enumerate(self.arcs)}
+        self.relation = relation
+        self._rows: List[Optional[int]] = [None] * len(self.arcs)
+
+    def row(self, i: int) -> int:
+        if self._rows[i] is None:
+            a, rel = self.arcs[i], self.relation
+            related = [b for b in self.arcs if rel(a, b)]
+            self._rows[i] = sum(1 << self.index[b] for b in related)
+        return self._rows[i]
+
+    def up(self, mask: int) -> int:
+        """The OR of the rows of the arcs in mask."""
+        return reduce(or_, map(self.row, bits(mask)), 0)
+
+    def mask(self, arcs: Iterable) -> int:
+        out = 0
+        for arc in arcs:
+            if arc not in self.index:
+                raise ValueError(f"{arc} does not fit on {self.n} points")
+            out |= 1 << self.index[arc]
+        return out
+
+    def arcs_of(self, mask: int) -> frozenset:
+        return frozenset(self.arcs[i] for i in bits(mask))
+
+
+@lru_cache(maxsize=None)
+def subarc_table(n: int) -> ArcTable:
+    return ArcTable(n, _all_arcs(n), is_subarc)
+
+
+@lru_cache(maxsize=None)
+def loose_subarc_table(n: int) -> ArcTable:
+    return ArcTable(n, _all_arcs(n), is_loose_subarc)
+
+
+@lru_cache(maxsize=None)
+def symmetric_subarc_table(n: int) -> ArcTable:
+    """Plain arcs on the points -n..-1, 1..n under the type-A subarc order."""
+    return ArcTable(n, arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0]), arcs_a.is_subarc)
+
+
 @dataclass(frozen=True)
 class ArcCongruence:
     """A congruence of the type-B weak order as its contracted arc set."""
@@ -264,13 +314,14 @@ class ArcCongruence:
     n: int
     contracted: frozenset
 
+    table = staticmethod(subarc_table)
+
     def __post_init__(self):
+        table = self.table(self.n)
+        mask = table.mask(self.contracted)
         for arc in self.contracted:
-            if arcs_b.top_point(arc) > self.n:
-                raise ValueError(f"{arc} does not fit on {self.n} points")
-            for sup in _all_arcs(self.n):
-                if is_subarc(arc, sup) and sup not in self.contracted:
-                    raise ValueError(f"contracted set not closed above {arc}")
+            if table.row(table.index[arc]) & ~mask:
+                raise ValueError(f"contracted set not closed above {arc}")
 
     @classmethod
     def identity(cls, n: int) -> "ArcCongruence":
@@ -278,20 +329,17 @@ class ArcCongruence:
 
     @classmethod
     def full(cls, n: int) -> "ArcCongruence":
-        return cls(n, frozenset(_all_arcs(n)))
+        return cls(n, frozenset(cls.table(n).arcs))
 
     @classmethod
-    def from_generators(cls, n: int, gens: Iterable[TypeBArc]) -> "ArcCongruence":
-        gens = tuple(gens)
-        contracted = frozenset(
-            sup for sup in _all_arcs(n) if any(is_subarc(g, sup) for g in gens)
-        )
-        return cls(n, contracted)
+    def from_generators(cls, n: int, gens: Iterable) -> "ArcCongruence":
+        table = cls.table(n)
+        return cls(n, table.arcs_of(table.up(table.mask(gens))))
 
     def uncontracted(self) -> frozenset:
-        return frozenset(_all_arcs(self.n)) - self.contracted
+        return frozenset(self.table(self.n).arcs) - self.contracted
 
-    def __contains__(self, arc: TypeBArc) -> bool:
+    def __contains__(self, arc) -> bool:
         return arc in self.contracted
 
 
@@ -364,35 +412,32 @@ def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
     return list(fibers.values())
 
 
+def check_lattice_rank(n: int) -> None:
+    """Refuse a quotient lattice of rank n before any work."""
+    if n > 4:
+        raise ScopeExceeded("quotient lattices supported up to n = 4")
+
+
 def quotient_lattice(theta: ArcCongruence) -> FiniteLattice:
     """The quotient as the subposet of the weak order on class bottoms."""
-    if theta.n > 4:
-        raise ScopeExceeded("quotient lattices supported up to n = 4")
+    check_lattice_rank(theta.n)
     elems = quotient_elements(theta)
     inv = {pi: pi.inversions() for pi in elems}
-    order = {
-        pi: [q for q in elems if q != pi and inv[q] < inv[pi]] for pi in elems
-    }
-    covers = []
-    for pi in elems:
-        lower = order[pi]
-        for q in lower:
-            if not any(inv[q] < inv[r] for r in lower if r != q):
-                covers.append((q, pi))
+    lower = {pi: [q for q in elems if inv[q] < inv[pi]] for pi in elems}
+    covers = [
+        (q, pi) for pi in elems for q in lower[pi]
+        if not any(inv[q] < inv[r] for r in lower[pi])
+    ]
     return build_lattice(covers, elems)
 
 
 def all_congruences(n: int) -> List[ArcCongruence]:
     """Every congruence: up-closed subsets of the subarc order."""
-    arcs = _all_arcs(n)
-    if len(arcs) > 26:
+    table = subarc_table(n)
+    m = len(table.arcs)
+    if m > 26:
         raise ScopeExceeded("congruence enumeration needs at most 26 arcs")
-    m = len(arcs)
-    sup_mask = [0] * m
-    for i, a in enumerate(arcs):
-        for j, b in enumerate(arcs):
-            if i != j and is_subarc(a, b):
-                sup_mask[i] |= 1 << j
+    sup_mask = [table.row(i) & ~(1 << i) for i in range(m)]
     # topological: subarc-maximal elements first, so inclusion forces only
     # already-decided indices
     order = sorted(range(m), key=lambda i: bin(sup_mask[i]).count("1"))
@@ -408,43 +453,14 @@ def all_congruences(n: int) -> List[ArcCongruence]:
             rec(k + 1, mask | 1 << i)
 
     rec(0, 0)
-    return [
-        ArcCongruence(n, frozenset(arcs[i] for i in range(m) if mask >> i & 1))
-        for mask in masks
-    ]
+    return [ArcCongruence(n, table.arcs_of(mask)) for mask in masks]
 
 
-# --- congruences on the symmetric model (plain arcs on +/- points) ---------
+class ArcCongruenceA(ArcCongruence):
+    """A congruence of the weak order on words over +/-1..n, by contracted
+    arcs on the points -n..-1, 1..n."""
 
-
-@lru_cache(maxsize=None)
-def _all_arcs_sym(n: int) -> tuple:
-    pts = [v for v in range(-n, n + 1) if v != 0]
-    return tuple(arcs_a.all_arcs(pts))
-
-
-@dataclass(frozen=True)
-class ArcCongruenceA:
-    """A congruence of the weak order on words over +/-1..n, by contracted arcs."""
-
-    n: int  # ground set is -n..-1,1..n
-    contracted: frozenset
-
-    def __post_init__(self):
-        for arc in self.contracted:
-            for sup in _all_arcs_sym(self.n):
-                if arcs_a.is_subarc(arc, sup) and sup not in self.contracted:
-                    raise ValueError(f"contracted set not closed above {arc}")
-
-    @classmethod
-    def from_generators(cls, n: int, gens: Iterable[ArcA]) -> "ArcCongruenceA":
-        gens = tuple(gens)
-        contracted = frozenset(
-            sup
-            for sup in _all_arcs_sym(n)
-            if any(arcs_a.is_subarc(g, sup) for g in gens)
-        )
-        return cls(n, contracted)
+    table = staticmethod(symmetric_subarc_table)
 
     def is_symmetric(self) -> bool:
         return all(arcs_a.antipode(a) in self.contracted for a in self.contracted)
@@ -465,14 +481,11 @@ def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...
 
 
 def is_in_con_a(theta: ArcCongruence) -> bool:
-    """True iff the uncontracted set is closed under passing to loose subarcs."""
-    unc = theta.uncontracted()
-    return all(
-        sub in unc
-        for sup in unc
-        for sub in _all_arcs(theta.n)
-        if is_loose_subarc(sub, sup)
-    )
+    """True iff the uncontracted set is closed under passing to loose subarcs,
+    that is, the contracted set is up-closed in the loose subarc order."""
+    table = loose_subarc_table(theta.n)
+    mask = table.mask(theta.contracted)
+    return table.up(mask) & ~mask == 0
 
 
 def lift_to_symmetric(theta: ArcCongruence) -> ArcCongruenceA:

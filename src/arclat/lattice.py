@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
+from .util import bits
+
 
 class NotALattice(Exception):
     """Raised when a cover digraph fails to define a lattice."""
@@ -227,7 +229,11 @@ def cjr_oracle(lat: FiniteLattice, x: int) -> Optional[frozenset]:
 
 
 class Congruence:
-    """An equivalence relation on a lattice, stored as element -> class id."""
+    """An equivalence relation on a lattice, stored as element -> class id.
+
+    A class's id is its least element id; as ids extend the order, that is
+    the bottom of the class whenever the class has one.
+    """
 
     def __init__(self, lat: FiniteLattice, class_of: Sequence[int]):
         if len(class_of) != lat.n:
@@ -378,40 +384,23 @@ def contracted_jis(lat: FiniteLattice, theta: Congruence) -> frozenset:
 
 def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
     """Quotient lattice, realized on the bottom elements of the classes."""
-    bottom_of = {}
-    for members in theta.classes():
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        bottom_of[theta.class_of[members[0]]] = (mask & -mask).bit_length() - 1
-    bottoms = sorted(bottom_of.values())
-    pos = {b: k for k, b in enumerate(bottoms)}
-    mask_all = 0
-    for b in bottoms:
-        mask_all |= 1 << b
+    bottoms = sorted(set(theta.class_of))
+    mask_all = sum(1 << b for b in bottoms)
     covers = []
     for b in bottoms:
         lower = lat.down[b] & mask_all & ~(1 << b)
-        maximal = [c for c in _bits(lower) if not (lat.up[c] & lower & ~(1 << c))]
+        maximal = [c for c in bits(lower) if not (lat.up[c] & lower & ~(1 << c))]
         covers.extend((lat.labels[c], lat.labels[b]) for c in maximal)
     q = FiniteLattice(covers, [lat.labels[b] for b in bottoms])
     # sanity: class joins agree with joins of bottoms ([x] v [y] = [x v y])
     if lat.n <= 400:
-        cls_bottom = {theta.class_of[i]: bottom_of[theta.class_of[i]] for i in range(lat.n)}
         for a in bottoms:
             for b in bottoms:
                 lhs = q.join(q.index[lat.labels[a]], q.index[lat.labels[b]])
-                rhs = cls_bottom[theta.class_of[lat.join(a, b)]]
+                rhs = theta.class_of[lat.join(a, b)]
                 if q.labels[lhs] != lat.labels[rhs]:
                     raise NotALattice("quotient join disagrees with class join")
     return q
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def forcing_oracle(lat: FiniteLattice, j1, j2) -> bool:
@@ -425,13 +414,7 @@ def forcing_oracle(lat: FiniteLattice, j1, j2) -> bool:
 def cjr_quotient_check(lat: FiniteLattice, theta: Congruence) -> bool:
     """Contraction is detected on canonical joinands, and CJRs survive quotients."""
     q = quotient(lat, theta)
-    bottoms = {theta.class_of[i]: None for i in range(lat.n)}
-    for members in theta.classes():
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        bottoms[theta.class_of[members[0]]] = (mask & -mask).bit_length() - 1
-    contracted_el = {i for i in range(lat.n) if bottoms[theta.class_of[i]] != i}
+    contracted_el = {i for i in range(lat.n) if theta.class_of[i] != i}
     ji_contracted = {j.element for j in contracted_jis(lat, theta)}
     for x in range(lat.n):
         rep = cjr_oracle(lat, x)

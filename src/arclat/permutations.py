@@ -203,9 +203,14 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(w)
 
 
-def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+def check_signed_rank(n: int) -> None:
+    """Refuse a scan of the signed permutations of rank n before it starts."""
     if n > 6:
         raise ScopeExceeded("signed permutations enumerated up to n = 6")
+
+
+def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+    check_signed_rank(n)
     for base in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(tuple(s * v for s, v in zip(signs, base)))

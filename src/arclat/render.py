@@ -76,26 +76,17 @@ def layout(diagram: DiagramB) -> dict:
     long_arcs = [a for a in sorted(diagram.arcs, key=arc_key) if isinstance(a, LongArc)]
     dip_of = {a: i + 1 for i, a in enumerate(sorted(long_arcs, key=_long_span, reverse=True))}
     for key, arc, heights in strokes:
-        nodes = []
+        # from the top point down through the lanes to the bottom end
         if key[0] == "o":
-            nodes.append((0.0, float(arc.top)))
-            for h in reversed(heights):
-                nodes.append((side_of[(key, h)] * lane[(key, h)] * 0.5, float(h)))
-            nodes.append((0.0, float(arc.bottom)))
+            top, end = arc.top, (0.0, float(arc.bottom))
         elif key[0] == "x":
-            nodes.append((0.0, float(arc.top)))
-            for h in reversed(heights):
-                nodes.append((side_of[(key, h)] * lane[(key, h)] * 0.5, float(h)))
-            nodes.append((0.0, 0.0))
+            top, end = arc.top, (0.0, 0.0)
         else:
             top = arc.left_end if key[2] == "left" else arc.right_end
-            sgn = -1 if key[2] == "left" else 1
             dip = dip_of[arc] * 0.4
-            nodes.append((0.0, float(top)))
-            for h in reversed(heights):
-                nodes.append((side_of[(key, h)] * lane[(key, h)] * 0.5, float(h)))
-            nodes.append((sgn * dip, -dip))
-        paths[key] = nodes
+            end = ((-1 if key[2] == "left" else 1) * dip, -dip)
+        lanes = [(side_of[(key, h)] * lane[(key, h)] * 0.5, float(h)) for h in reversed(heights)]
+        paths[key] = [(0.0, float(top))] + lanes + [end]
     # stitch long-arc halves through the bottom
     merged = {}
     done = set()
@@ -141,27 +132,28 @@ def render(diagram: DiagramB, spec: RenderSpec = RenderSpec()) -> str:
     return _ascii(lay)
 
 
-def _to_px(pt: tuple, spec: RenderSpec, max_h: float) -> tuple:
+def _to_px(pt: tuple, spec: RenderSpec, height: int) -> tuple:
     x = spec.width / 2 + pt[0] * spec.spacing
-    y = spec.height - (pt[1] + 2.0) * spec.spacing
+    y = height - (pt[1] + 2.0) * spec.spacing
     return round(x, 2), round(y, 2)
 
 
 def _svg(lay: dict, spec: RenderSpec) -> str:
-    max_h = lay["n"]
+    # tall enough for the top point: point n sits n + 2 spacings above the bottom edge
+    height = max(spec.height, (lay["n"] + 2) * spec.spacing)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">'
+        f'height="{height}" viewBox="0 0 {spec.width} {height}">'
     ]
     for key in sorted(lay["paths"]):
-        pts = " ".join(f"{x},{y}" for x, y in (_to_px(p, spec, max_h) for p in lay["paths"][key]))
+        pts = " ".join(f"{x},{y}" for x, y in (_to_px(p, spec, height) for p in lay["paths"][key]))
         lines.append(f'  <polyline fill="none" stroke="black" points="{pts}"/>')
-    ox, oy = _to_px(lay["origin"], spec, max_h)
+    ox, oy = _to_px(lay["origin"], spec, height)
     lines.append(
         f'  <path d="M {ox-4} {oy-4} L {ox+4} {oy+4} M {ox-4} {oy+4} L {ox+4} {oy-4}" stroke="black" fill="none"/>'
     )
     for i, p in enumerate(lay["points"], start=1):
-        x, y = _to_px(p, spec, max_h)
+        x, y = _to_px(p, spec, height)
         lines.append(f'  <circle cx="{x}" cy="{y}" r="3" fill="black"/>')
         lines.append(f'  <text x="{x+8}" y="{y+4}" font-size="12">{i}</text>')
     lines.append("</svg>")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 
 def between(a: int, b: int) -> tuple[int, ...]:
@@ -52,6 +52,14 @@ def components(points: Iterable[Hashable], edges: Iterable[Tuple]) -> Dict[Hasha
     return {v: comp for comp in map(frozenset, groups.values()) for v in comp}
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def transitive_closure(succ: Sequence[int]) -> List[int]:
     """Reflexive-transitive closure of a digraph on 0..m-1.
 
@@ -63,11 +71,9 @@ def transitive_closure(succ: Sequence[int]) -> List[int]:
     while changed:
         changed = False
         for i, mask in enumerate(reach):
-            m, probe = mask, mask
-            while probe:
-                low = probe & -probe
-                m |= reach[low.bit_length() - 1]
-                probe ^= low
+            m = mask
+            for j in bits(mask):
+                m |= reach[j]
             if m != mask:
                 reach[i] = m
                 changed = True

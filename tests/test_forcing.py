@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from arclat import arcs_b, catalog, forcing, lattice as lat
+from arclat import arcs_a, arcs_b, catalog, forcing, lattice as lat
 from arclat.arcs_b import LongArc, OrbifoldArc, OrdinaryArc
 from arclat.forcing import (
     ArcCongruence,
@@ -276,6 +276,49 @@ def test_con_a_verdicts():
     assert not is_in_con_a(catalog.hom_congruence(3, "delta"))
     for sides in itertools.product("RL", repeat=2):
         assert is_in_con_a(catalog.cambrian_congruence(3, catalog.Designation(tuple(sides))))
+
+
+def _loose_closed(theta):
+    """The definition of membership: every loose subarc of an uncontracted
+    arc is uncontracted."""
+    arcs = arcs_b.all_arcs(theta.n)
+    unc = [a for a in arcs if a not in theta.contracted]
+    return all(sub in unc for sup in unc for sub in arcs if is_loose_subarc(sub, sup))
+
+
+def test_con_a_membership_is_the_loose_closure():
+    thetas = {t.contracted: t for t in forcing.all_congruences(2)}
+    arcs = arcs_b.all_arcs(3)
+    for k in (1, 2):
+        for gens in itertools.combinations(arcs, k):
+            t = ArcCongruence.from_generators(3, gens)
+            thetas[t.contracted] = t
+    verdicts = set()
+    for theta in thetas.values():
+        verdicts.add(_loose_closed(theta))
+        assert is_in_con_a(theta) == _loose_closed(theta), sorted(theta.contracted, key=arcs_b.arc_key)
+    assert len(thetas) > 100 and verdicts == {True, False}
+
+
+def _symmetric_arcs(n):
+    return arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0])
+
+
+def test_symmetric_congruence_validation():
+    centre = next(a for a in _symmetric_arcs(2) if (a.bottom, a.top) == (-1, 1))
+    with pytest.raises(ValueError, match="not closed above"):
+        forcing.ArcCongruenceA(2, frozenset([centre]))
+    wide = next(a for a in _symmetric_arcs(3) if (a.bottom, a.top) == (-3, 3))
+    with pytest.raises(ValueError, match="does not fit"):
+        forcing.ArcCongruenceA(2, frozenset([wide]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetric_generators_contract_their_superarcs(n):
+    arcs = _symmetric_arcs(n)
+    for g in arcs:
+        theta = forcing.ArcCongruenceA.from_generators(n, [g])
+        assert theta.contracted == frozenset(b for b in arcs if arcs_a.is_subarc(g, b))
 
 
 def test_lift_requires_membership():

@@ -55,3 +55,17 @@ def test_clearance_sampled_rank_six():
         d = arcs_b.diagram_of_signed(SignedPermutation(word))
         if d.arcs:
             assert stroke_point_clearance(d) > 0
+
+
+def _circle_ys(svg):
+    return [float(part.split('"')[1]) for part in svg.split(" cy=")[1:]]
+
+
+def test_svg_grows_to_fit_the_top_point():
+    svg = render(arcs_b.DiagramB(8, frozenset()), RenderSpec())
+    assert 'height="400" viewBox="0 0 360 400"' in svg
+    assert min(_circle_ys(svg)) == 0.0 and max(_circle_ys(svg)) == 280.0
+    # seven points still fit the default canvas, which keeps its size
+    svg = render(arcs_b.DiagramB(7, frozenset()), RenderSpec())
+    assert 'height="360" viewBox="0 0 360 360"' in svg
+    assert min(_circle_ys(svg)) == 0.0

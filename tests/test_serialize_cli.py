@@ -224,6 +224,12 @@ REFUSED = [
     ["verify", "--suite", "shard-digraph", "--n", "4"],
     ["verify", "--suite", "diagram-count", "--n", "6"],
     ["verify", "--suite", "cambrian", "--n", "8"],
+    ["quotient", "--congruence", "cambrian:RRRRRR", "--n", "7", "--count"],
+    ["quotient", "--congruence", "identity", "--n", "6", "--hasse"],
+    ["verify", "--suite", "cambrian", "--n", "6"],
+    ["verify", "--suite", "forcing-closure", "--n", "7"],
+    ["enumerate", "--what", "arcs", "--n", "10"],
+    ["enumerate", "--what", "arcs", "--type", "a", "--n", "17"],
 ]
 
 

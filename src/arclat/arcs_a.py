@@ -9,6 +9,7 @@ its right.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -171,17 +172,29 @@ def word_of(diagram: DiagramA) -> Word:
 
     A left block has nothing to its left at any height it occupies; its
     points are emitted in decreasing order and the block is removed.
+    Removing a block changes neither the other blocks nor how they lie
+    relative to each other, so both are computed once.
     """
-    points = set(diagram.points)
-    arcs = set(diagram.arcs)
+    blocks = _blocks(set(diagram.points), set(diagram.arcs))
+    blockers = [0] * len(blocks)
+    right_of: list = [[] for _ in blocks]
+    for i, b in enumerate(blocks):
+        for k, c in enumerate(blocks):
+            if k != i and (b["arcs"] or c["arcs"]) and _block_left_of(c, b):
+                blockers[i] += 1
+                right_of[k].append(i)
+    ready = [(min(b["points"]), i) for i, b in enumerate(blocks) if not blockers[i]]
+    heapq.heapify(ready)
     out: list = []
-    while points:
-        blocks = _blocks(points, arcs)
-        lefts = [b for b in blocks if not any(_block_left_of(c, b) for c in blocks if c is not b)]
-        blk = min(lefts, key=lambda b: min(b["points"]))
-        out.extend(sorted(blk["points"], reverse=True))
-        points -= blk["points"]
-        arcs -= set(blk["arcs"])
+    while ready:
+        _low, i = heapq.heappop(ready)
+        out.extend(sorted(blocks[i]["points"], reverse=True))
+        for k in right_of[i]:
+            blockers[k] -= 1
+            if not blockers[k]:
+                heapq.heappush(ready, (min(blocks[k]["points"]), k))
+    if len(out) != len(diagram.points):
+        raise ValueError("blocks of the diagram lie left of each other in a cycle")
     return tuple(out)
 
 

@@ -159,12 +159,6 @@ class FiniteLattice:
     def interval_mask(self, lo: int, hi: int) -> int:
         return self.up[lo] & self.down[hi]
 
-    def ideal_mask(self, items: Iterable[int]) -> int:
-        m = 0
-        for x in items:
-            m |= self.down[x]
-        return m
-
     def covers(self) -> list:
         return [(a, b) for a in range(self.n) for b in self.covers_up[a]]
 
@@ -187,45 +181,25 @@ def join_irreducibles(lat: FiniteLattice) -> tuple:
 
 
 def cjr_oracle(lat: FiniteLattice, x: int) -> Optional[frozenset]:
-    """Canonical join representation of x by exhaustive enumeration.
+    """Canonical join representation of x: the join representation whose
+    order ideal lies in the ideal of every other one, or None if none does.
 
-    Enumerates the irredundant antichain join-representations of x by
-    join-irreducibles below x and returns the unique one whose generated
-    order ideal is contained in every other representation's ideal, or None
-    if no representation is ideal-minimal.
+    Computed as the intersection I of the ideals of all join representations
+    of x (join-refinement; Freese-Jezek-Nation, Free Lattices, ch. 2).  With
+    C the join-irreducibles <= x, a z in C lies in I iff the join of
+    {c in C : z !<= c} is not x, since any representation avoiding z above
+    refines to those c.  The answer is max(C & I) when it joins to x, else
+    None.  Proof: an ideal-minimal irredundant representation R has
+    ideal(R) = I, so R = max(C & I); conversely, if max(C & I) joins to x it
+    is an irredundant antichain (dropping m leaves a representation whose
+    ideal misses m in I) and its ideal is I.
     """
     if lat.n > 400:
         raise ScopeExceeded(f"cjr oracle supports at most 400 elements, got {lat.n}")
-    if x == lat.bottom:
-        return frozenset()
     cands = [j.element for j in join_irreducibles(lat) if lat.leq(j.element, x)]
-    suffix_join = [lat.bottom] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix_join[i] = lat.join(cands[i], suffix_join[i + 1])
-    reps: list[tuple] = []
-
-    def rec(i: int, members: tuple, cur: int) -> None:
-        if cur == x:
-            for drop in range(len(members)):
-                if lat.join_all(members[:drop] + members[drop + 1:]) == x:
-                    return  # redundant
-            reps.append(members)
-            return
-        if i == len(cands) or lat.join(cur, suffix_join[i]) != x:
-            return
-        rec(i + 1, members, cur)
-        c = cands[i]
-        if not lat.leq(c, cur) and not any(lat.leq(c, m) or lat.leq(m, c) for m in members):
-            rec(i + 1, members + (c,), lat.join(cur, c))
-
-    rec(0, (), lat.bottom)
-    if not reps:
-        return None
-    ideals = [lat.ideal_mask(r) for r in reps]
-    for r, ideal in zip(reps, ideals):
-        if all(ideal & ~other == 0 for other in ideals):
-            return frozenset(r)
-    return None
+    core = [z for z in cands if lat.join_all(c for c in cands if not lat.leq(z, c)) != x]
+    rep = [z for z in core if not any(w != z and lat.leq(z, w) for w in core)]
+    return frozenset(rep) if lat.join_all(rep) == x else None
 
 
 class Congruence:

@@ -50,9 +50,10 @@ def test_criterion_3_cjr_equivalence():
     _passes(
         verify.suite_cjr(4, "A"),
         verify.suite_cjr(3, "B"),
+        verify.suite_cjr(4, "B"),
         verify.suite_cjr_quotient(3, samples=5, seed=11),
     )
-    _report(3, "canonical joins agree on all of ranks 4/3 plus 5 quotients", t0)
+    _report(3, "canonical joins agree on all of A4, B3 and B4 plus 5 quotients", t0)
 
 
 def test_criterion_4_forcing_triangle():

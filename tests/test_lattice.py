@@ -304,3 +304,118 @@ def test_cjr_oracle_total_both_ways(family, n):
     D = dual_lattice(W)
     for i in range(D.n):
         assert cjr_oracle(D, i) is not None
+
+
+def cjr_by_search(L, x):
+    """Canonical join representation by exhaustive search: enumerate the
+    irredundant antichain join-representations of x by join-irreducibles
+    and return the one whose order ideal lies in every other one's, or None."""
+    if x == L.bottom:
+        return frozenset()
+    cands = [j.element for j in join_irreducibles(L) if L.leq(j.element, x)]
+    suffix_join = [L.bottom] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix_join[i] = L.join(cands[i], suffix_join[i + 1])
+    reps = []
+
+    def rec(i, members, cur):
+        if cur == x:
+            for drop in range(len(members)):
+                if L.join_all(members[:drop] + members[drop + 1:]) == x:
+                    return  # redundant
+            reps.append(members)
+            return
+        if i == len(cands) or L.join(cur, suffix_join[i]) != x:
+            return
+        rec(i + 1, members, cur)
+        c = cands[i]
+        if not L.leq(c, cur) and not any(L.leq(c, m) or L.leq(m, c) for m in members):
+            rec(i + 1, members + (c,), L.join(cur, c))
+
+    rec(0, (), L.bottom)
+    ideals = [ideal_of(L, r) for r in reps]
+    for r, ideal in zip(reps, ideals):
+        if all(ideal & ~other == 0 for other in ideals):
+            return frozenset(r)
+    return None
+
+
+def ideal_of(L, items):
+    m = 0
+    for x in items:
+        m |= L.down[x]
+    return m
+
+
+M3 = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]
+N5 = [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]
+
+
+def meet_closed_lattice(rng, ground, picks):
+    """The lattice of intersections of random subsets of a ground set,
+    topped by the whole set, ordered by inclusion."""
+    full = (1 << ground) - 1
+    sets = {full} | {rng.getrandbits(ground) for _ in range(picks)}
+    while True:
+        more = {a & b for a in sets for b in sets} - sets
+        if not more:
+            break
+        sets |= more
+    covers = [
+        (a, b)
+        for a in sets
+        for b in sets
+        if a != b and a & b == a
+        and not any(c not in (a, b) and a & c == a and c & b == c for c in sets)
+    ]
+    return build_lattice(covers, sorted(sets))
+
+
+def check_against_search(L):
+    """Assert cjr_oracle equals the search on every element of L; return
+    how many elements have no canonical join representation."""
+    nones = 0
+    for x in L.elements():
+        expect = cjr_by_search(L, x)
+        assert cjr_oracle(L, x) == expect, (L, L.labels[x])
+        nones += expect is None
+    return nones
+
+
+LATTICES = {
+    "M3": lambda: build_lattice(M3),
+    "N5": lambda: build_lattice(N5),
+    "B2": lambda: weak_order_lattice(CoxeterType("B", 2)),
+    "B3": lambda: weak_order_lattice(CoxeterType("B", 3)),
+    "A4": lambda: weak_order_lattice(CoxeterType("A", 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_cjr_oracle_matches_search(name):
+    L = LATTICES[name]()
+    check_against_search(L)
+    check_against_search(dual_lattice(L))
+
+
+def test_cjr_oracle_matches_search_on_b3_quotients():
+    W = weak_order_lattice(CoxeterType("B", 3))
+    for j in join_irreducibles(W):
+        check_against_search(quotient(W, principal_congruence(W, j)))
+
+
+def test_cjr_oracle_matches_search_on_random_meet_closed_lattices():
+    import random
+
+    rng = random.Random(2015)
+    nones = 0
+    for _ in range(400):
+        L = meet_closed_lattice(rng, rng.randint(3, 6), rng.randint(2, 8))
+        nones += check_against_search(L)
+    assert nones > 0
+
+
+def test_cjr_oracle_top_of_m3_is_none():
+    L = build_lattice(M3)
+    assert cjr_oracle(L, L.top) is None
+    assert cjr_oracle(L, L.index["a"]) == frozenset([L.index["a"]])

@@ -67,6 +67,26 @@ def test_map_subcommand_a():
     assert json.loads(out) == [3, 1, 2]
 
 
+def test_map_large_empty_diagram_is_fast():
+    t0 = time.perf_counter()
+    code, out = run_cli("map", "--type", "b", "--diagram", '{"n":500,"arcs":[]}')
+    assert code == 0 and json.loads(out) == list(range(1, 501))
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_map_roundtrip_rank_sixty(kind):
+    rng = random.Random(60)
+    for _ in range(5):
+        word = rng.sample(range(1, 61), 60)
+        if kind == "b":
+            word = [v * rng.choice((1, -1)) for v in word]
+        code, diagram = run_cli("map", "--type", kind, "--perm", json.dumps(word))
+        assert code == 0
+        code, out = run_cli("map", "--type", kind, "--diagram", diagram)
+        assert code == 0 and json.loads(out) == word
+
+
 def test_map_errors():
     assert run_cli("map", "--type", "b", "--perm", "[-1,2")[0] == 2
     assert run_cli("map", "--type", "b", "--perm", "[1,1]")[0] == 3

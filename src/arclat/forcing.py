@@ -26,7 +26,7 @@ from .arcs_b import (
 )
 from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
 from .permutations import SignedPermutation, all_signed_permutations
-from .util import between, bits, transitive_closure
+from .util import between, bits, closed_sets, transitive_closure
 
 
 class NotInConA(ValueError):
@@ -434,26 +434,8 @@ def quotient_lattice(theta: ArcCongruence) -> FiniteLattice:
 def all_congruences(n: int) -> List[ArcCongruence]:
     """Every congruence: up-closed subsets of the subarc order."""
     table = subarc_table(n)
-    m = len(table.arcs)
-    if m > 26:
-        raise ScopeExceeded("congruence enumeration needs at most 26 arcs")
-    sup_mask = [table.row(i) & ~(1 << i) for i in range(m)]
-    # topological: subarc-maximal elements first, so inclusion forces only
-    # already-decided indices
-    order = sorted(range(m), key=lambda i: bin(sup_mask[i]).count("1"))
-    masks: List[int] = []
-
-    def rec(k: int, mask: int):
-        if k == m:
-            masks.append(mask)
-            return
-        i = order[k]
-        rec(k + 1, mask)  # exclude arc i
-        if sup_mask[i] & ~mask == 0:  # all superarcs already in
-            rec(k + 1, mask | 1 << i)
-
-    rec(0, 0)
-    return [ArcCongruence(n, table.arcs_of(mask)) for mask in masks]
+    rows = [table.row(i) | 1 << i for i in range(len(table.arcs))]
+    return [ArcCongruence(n, table.arcs_of(mask)) for mask in closed_sets(rows)]
 
 
 class ArcCongruenceA(ArcCongruence):

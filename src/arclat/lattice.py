@@ -2,10 +2,13 @@
 representations, congruences and quotients.
 
 Everything here is definition-level machinery, used as the oracle against
-which the arc-based shortcuts elsewhere in the package are verified.
-Elements are dense integer ids assigned in a linear extension, so the
-minimum of an up-set is its lowest set bit and the maximum of a down-set is
-its highest set bit.  Lattices are immutable after construction.
+which the arc-based shortcuts elsewhere in the package are verified: it
+reads only the order, join and meet tables, never the arcs.  Elements are
+dense integer ids assigned in a linear extension, so the minimum of an
+up-set is its lowest set bit and the maximum of a down-set is its highest
+set bit.  Lattices are immutable after construction; the one derived table,
+the forcing table of the congruences (see `_forcing_table`), is built on
+first use and kept on the lattice.
 """
 
 from __future__ import annotations
@@ -14,15 +17,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
-from .util import bits
+from .util import ScopeExceeded, bits, closed_sets, transitive_closure
 
 
 class NotALattice(Exception):
     """Raised when a cover digraph fails to define a lattice."""
-
-
-class ScopeExceeded(Exception):
-    """Raised when an input is outside the supported desk scale."""
 
 
 class InvariantError(Exception):
@@ -114,6 +113,7 @@ class FiniteLattice:
                     raise NotALattice((self.labels[a], self.labels[b]))
                 mrow[b] = j
                 self._meet[b][a] = j
+        self._forcing: Optional[tuple] = None
 
     @staticmethod
     def _levels(n: int, above: list, below: list) -> list:
@@ -287,68 +287,86 @@ def is_congruence(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def is_congruence_algebraic(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
-    """Direct algebraic test; quadratic in class sizes, small lattices only."""
-    parsed = _partition(lat, classes)
-    if parsed is None:
-        return False
-    class_list, class_of = parsed
-    for members in class_list:
-        for x, y in itertools.combinations(members, 2):
-            for z in range(lat.n):
-                if class_of[lat.join(x, z)] != class_of[lat.join(y, z)]:
-                    return False
-                if class_of[lat.meet(x, z)] != class_of[lat.meet(y, z)]:
-                    return False
-    return True
+def _forcing_table(lat: FiniteLattice) -> tuple:
+    """The forcing table of lat: (the join-irreducibles J in id order, the
+    position of each in J, one bitmask row per position), built on first
+    use and kept on the lattice.
+
+    Row j holds, by position, every k contracted by con(j_*, j), the least
+    congruence identifying j with its lower cover j_*.  It is read off
+    Day's arrow relations (Freese-Jezek-Nation, Free Lattices, 1995, ch. 2;
+    Freese, "Computing congruences efficiently", Algebra Universalis 59,
+    2008), which use only the order.  With M the meet-irreducibles and m^*
+    the upper cover of m in M, write j dn m when j !<= m and j_* <= m, and
+    k up m when k !<= m and k <= m^*.  Take a step j -> k when some m has
+    j dn m and k up m; row j is the reflexive-transitive closure of the
+    steps from j.  Each step is forced (write ~ for the congruence): from
+    j ~ j_* comes m = m v j_* ~ m v j >= m^*, so m ~ m^* by convexity, and
+    then k = k ^ m^* ~ k ^ m <= k_*, so k ~ k_*.  That the reachable set
+    needs nothing more is the theorem cited.
+    """
+    if lat._forcing is None:
+        js = [j for j in range(lat.n) if len(lat.covers_down[j]) == 1]
+        pos = {j: p for p, j in enumerate(js)}
+        succ = [0] * len(js)
+        for m in range(lat.n):
+            if len(lat.covers_up[m]) != 1:
+                continue
+            below, below_cover = lat.down[m], lat.down[lat.covers_up[m][0]]
+            ups = 0
+            for p, k in enumerate(js):
+                if not below >> k & 1 and below_cover >> k & 1:
+                    ups |= 1 << p
+            for p, j in enumerate(js):
+                if not below >> j & 1 and below >> lat.covers_down[j][0] & 1:
+                    succ[p] |= ups
+        lat._forcing = (js, pos, transitive_closure(succ))
+    return lat._forcing
+
+
+def _position(lat: FiniteLattice, j) -> int:
+    element = j.element if isinstance(j, JoinIrreducible) else j
+    pos = _forcing_table(lat)[1]
+    if element not in pos:
+        raise ValueError("generators must be join-irreducibles")
+    return pos[element]
+
+
+def _congruence_contracting(lat: FiniteLattice, contracted: int) -> Congruence:
+    """The congruence whose contracted join-irreducibles are the positions
+    in `contracted`, a set closed under the forcing rows.
+
+    With H the join-irreducibles left uncontracted, x ~ y iff x and y have
+    the same elements of H below them, so the classes are a grouping by
+    bitmask.  (=>) From x ~ y and h <= x in H comes h = h ^ x ~ h ^ y;
+    h ^ y < h would give h ^ y <= h_* < h and so h ~ h_* by convexity of
+    the classes, hence h <= y.  (<=) If not x ~ y, say not x ^ y ~ y, some
+    cover c < c' on a chain from x ^ y up to y is uncontracted.  A minimal
+    j <= c' with j !<= c is join-irreducible, has j_* <= c and c v j = c',
+    so j ~ j_* would give c' ~ c: j lies in H, below y and not below x.
+    """
+    js = _forcing_table(lat)[0]
+    keep = 0
+    for p, j in enumerate(js):
+        if not contracted >> p & 1:
+            keep |= 1 << j
+    return Congruence(lat, [d & keep for d in lat.down])
 
 
 def principal_congruence(lat: FiniteLattice, j) -> Congruence:
-    """Smallest congruence identifying the join-irreducible j with its lower cover.
-
-    Fixpoint closure: whenever x = y is forced, so are x v z = y v z and
-    x ^ z = y ^ z for every z.
-    """
+    """Smallest congruence identifying the join-irreducible j with its lower
+    cover: the row of j in the forcing table, grouped into classes."""
     return congruence_generated_by(lat, [j])
 
 
 def congruence_generated_by(lat: FiniteLattice, jis: Iterable) -> Congruence:
-    """Smallest congruence contracting all the given join-irreducibles."""
-    seeds = []
+    """Smallest congruence contracting all the given join-irreducibles
+    (JoinIrreducible records or element ids): the union of their rows."""
+    rows = _forcing_table(lat)[2]
+    contracted = 0
     for j in jis:
-        if isinstance(j, JoinIrreducible):
-            seeds.append((j.element, j.lower))
-        else:
-            covers = lat.covers_down[j]
-            if len(covers) != 1:
-                raise ValueError("generators must be join-irreducibles")
-            seeds.append((j, covers[0]))
-    parent = list(range(lat.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    work = list(seeds)
-    joins, meets = lat._join, lat._meet
-    while work:
-        x, y = work.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
-        jx, jy = joins[x], joins[y]
-        mx, my = meets[x], meets[y]
-        for z in range(lat.n):
-            a, b = jx[z], jy[z]
-            if find(a) != find(b):
-                work.append((a, b))
-            a, b = mx[z], my[z]
-            if find(a) != find(b):
-                work.append((a, b))
-    return Congruence(lat, [find(i) for i in range(lat.n)])
+        contracted |= rows[_position(lat, j)]
+    return _congruence_contracting(lat, contracted)
 
 
 def contracted_jis(lat: FiniteLattice, theta: Congruence) -> frozenset:
@@ -379,10 +397,7 @@ def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
 
 def forcing_oracle(lat: FiniteLattice, j1, j2) -> bool:
     """True iff every congruence contracting j1 also contracts j2."""
-    theta = principal_congruence(lat, j1)
-    e2 = j2.element if isinstance(j2, JoinIrreducible) else j2
-    low2 = lat.covers_down[e2][0]
-    return theta.same(e2, low2)
+    return bool(_forcing_table(lat)[2][_position(lat, j1)] >> _position(lat, j2) & 1)
 
 
 def cjr_quotient_check(lat: FiniteLattice, theta: Congruence) -> bool:
@@ -408,31 +423,10 @@ def cjr_quotient_check(lat: FiniteLattice, theta: Congruence) -> bool:
 
 
 def all_congruences(lat: FiniteLattice) -> Iterator[Congruence]:
-    """Every congruence, by filtering all set partitions; tiny lattices only."""
-    if lat.n > 10:
-        raise ScopeExceeded("full congruence enumeration is limited to 10 elements")
-    for class_of in _set_partitions(lat.n):
-        buckets: dict[int, list] = {}
-        for i, c in enumerate(class_of):
-            buckets.setdefault(c, []).append(i)
-        classes = list(buckets.values())
-        if is_congruence(lat, classes):
-            yield Congruence(lat, class_of)
-
-
-def _set_partitions(n: int) -> Iterator[list]:
-    """Restricted growth strings of length n."""
-    rgs = [0] * n
-
-    def rec(i: int, m: int):
-        if i == n:
-            yield list(rgs)
-            return
-        for c in range(m + 1):
-            rgs[i] = c
-            yield from rec(i + 1, max(m, c + 1))
-
-    yield from rec(0, 0)
+    """Every congruence: one for each set of join-irreducibles closed under
+    the forcing rows; at most 26 join-irreducibles."""
+    for contracted in closed_sets(_forcing_table(lat)[2]):
+        yield _congruence_contracting(lat, contracted)
 
 
 def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:

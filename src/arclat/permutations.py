@@ -141,16 +141,6 @@ class SignedPermutation:
         """Composition self o other."""
         return SignedPermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
-    def inverse(self) -> "SignedPermutation":
-        out = [0] * self.n
-        for i in range(1, self.n + 1):
-            v = self(i)
-            if v > 0:
-                out[v - 1] = i
-            else:
-                out[-v - 1] = -i
-        return SignedPermutation(tuple(out))
-
     def inversions(self) -> frozenset:
         pairs = _word_inversion_pairs(self.long_word())
         return frozenset(refl_b(a, b) for a, b in pairs)

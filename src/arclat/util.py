@@ -5,6 +5,10 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 
+class ScopeExceeded(Exception):
+    """Raised when an input is outside the supported desk scale."""
+
+
 def between(a: int, b: int) -> tuple[int, ...]:
     """Integers strictly between a and b, excluding 0.
 
@@ -78,3 +82,35 @@ def transitive_closure(succ: Sequence[int]) -> List[int]:
                 reach[i] = m
                 changed = True
     return reach
+
+
+def closed_sets(rows: Sequence[int]) -> List[int]:
+    """Every set S of 0..m-1 with rows[i] inside S for each i in S, as bitmasks.
+
+    rows[i] must be a reflexive-transitive closure (see transitive_closure),
+    so the rows form a preorder and the closed sets are its up-sets.  The
+    sets are emitted by include/exclude recursion, the smallest rows
+    decided first: every row is then decided except for i's own cycle,
+    which enters with i.  Exclusion comes before inclusion.
+    """
+    m = len(rows)
+    if m > 26:
+        raise ScopeExceeded(f"closed-set enumeration needs at most 26 generators, got {m}")
+    order = sorted(range(m), key=lambda i: bin(rows[i]).count("1"))
+    out: List[int] = []
+
+    def rec(k: int, mask: int, decided: int) -> None:
+        if k == m:
+            out.append(mask)
+            return
+        i = order[k]
+        seen = decided | 1 << i
+        if mask >> i & 1:  # entered with an earlier member of its cycle
+            rec(k + 1, mask, seen)
+            return
+        rec(k + 1, mask, seen)
+        if rows[i] & decided & ~mask == 0:
+            rec(k + 1, mask | rows[i], seen)
+
+    rec(0, 0, 0)
+    return out

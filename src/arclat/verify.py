@@ -120,22 +120,15 @@ def suite_cjr_quotient(n: int, samples: int = 5, seed: int = 11) -> dict:
     return rep.done()
 
 
-def suite_forcing_oracle(n: int, samples: int = 500, seed: int = 3) -> dict:
+def suite_forcing_oracle(n: int) -> dict:
     rep = Report("forcing-oracle", n)
     W = weak_order_lattice(CoxeterType("B", n))
     jis = list(lat.join_irreducibles(W))
     arcs = {j.element: arcs_b.arc_of_join_irreducible(W.labels[j.element]) for j in jis}
     pairs = list(itertools.product(jis, jis))
-    if len(pairs) > samples and n >= 4:
-        rng = random.Random(seed)
-        pairs = [(rng.choice(jis), rng.choice(jis)) for _ in range(samples)]
-    cache: Dict[int, lat.Congruence] = {}
     bad = None
     for j1, j2 in pairs:
-        if j1.element not in cache:
-            cache[j1.element] = lat.principal_congruence(W, j1)
-        oracle = cache[j1.element].same(j2.element, j2.lower)
-        if oracle != forcing.is_subarc(arcs[j1.element], arcs[j2.element]):
+        if lat.forcing_oracle(W, j1, j2) != forcing.is_subarc(arcs[j1.element], arcs[j2.element]):
             bad = (W.labels[j1.element], W.labels[j2.element])
             break
     rep.check(f"subarc = principal-congruence forcing ({len(pairs)} pairs)", bad is None, bad)

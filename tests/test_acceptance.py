@@ -59,8 +59,8 @@ def test_criterion_3_cjr_equivalence():
 def test_criterion_4_forcing_triangle():
     t0 = time.time()
     _passes(*(verify.suite_forcing_closure(n) for n in (2, 3, 4, 5)))
-    _passes(*(verify.suite_forcing_oracle(n, samples=500, seed=3) for n in (3, 4)))
-    _report(4, "subarc = arrow closure (n<=5) = congruence forcing (rank 3 full, rank 4 sampled)", t0)
+    _passes(*(verify.suite_forcing_oracle(n) for n in (3, 4)))
+    _report(4, "subarc = arrow closure (n<=5) = congruence forcing (rank 3 full, rank 4 full)", t0)
 
 
 def test_criterion_5_geometric_cross_check():

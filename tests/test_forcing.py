@@ -171,6 +171,8 @@ def test_contracted_arcs_must_fit():
         lambda: ArcCongruence.from_generators(9, [OrbifoldArc(1, frozenset())]),
         lambda: forcing.arrow_edges(8),
         lambda: catalog.cambrian_congruence(8, catalog.Designation(tuple("R" * 7))),
+        lambda: forcing.all_congruences(4),
+        lambda: list(lat.all_congruences(lat.build_lattice([(i, i + 1) for i in range(27)]))),
     ],
 )
 def test_scope_guards(work):
@@ -238,6 +240,26 @@ def test_partitions_are_congruences(n):
     for theta in thetas:
         classes = [[W.index[pi] for pi in c] for c in forcing.element_partition(theta)]
         assert lat.is_congruence(W, classes)
+
+
+def lattice_contracted_arcs(n):
+    """The contracted arc sets of every congruence of the weak order on B_n,
+    enumerated on the lattice side and mapped through the arc bijection."""
+    W = weak_order_lattice(CoxeterType("B", n))
+    jis = lat.join_irreducibles(W)
+    arc_of = {j: arcs_b.arc_of_join_irreducible(W.labels[j.element]) for j in jis}
+    return [
+        frozenset(arc_of[j] for j in jis if cong.same(j.element, j.lower))
+        for cong in lat.all_congruences(W)
+    ]
+
+
+@pytest.mark.parametrize("n,count", [(2, 19), (3, 8368)])
+def test_congruences_are_the_up_closed_arc_sets(n, count):
+    from_lattice = lattice_contracted_arcs(n)
+    from_arcs = {theta.contracted for theta in forcing.all_congruences(n)}
+    assert len(from_lattice) == len(set(from_lattice)) == count
+    assert set(from_lattice) == from_arcs
 
 
 def test_every_lattice_congruence_is_an_arc_congruence_at_rank_two():

@@ -1,6 +1,8 @@
 import ast
+import functools
 import itertools
 import pathlib
+import random
 
 import pytest
 
@@ -13,7 +15,6 @@ from arclat.lattice import (
     contracted_jis,
     forcing_oracle,
     is_congruence,
-    is_congruence_algebraic,
     join_irreducibles,
     principal_congruence,
     quotient,
@@ -129,9 +130,97 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_lattice_imports_only_util_from_arclat():
+    """The lattice oracles read only the order, so the arc layers they check
+    can never leak into them."""
+    tree = ast.parse(pathlib.Path(lat.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level or name.startswith("arclat"):
+                found.append(name)
+        elif isinstance(node, ast.Import):
+            found.extend(a.name for a in node.names if a.name.startswith("arclat"))
+    assert set(found) <= {".util", "arclat.util"}, found
+
+
+def is_congruence_algebraic(L, classes):
+    """Direct algebraic congruence test, quadratic in class sizes: x = y
+    forces x v z = y v z and x ^ z = y ^ z for every z."""
+    parsed = lat._partition(L, classes)
+    if parsed is None:
+        return False
+    class_list, class_of = parsed
+    for members in class_list:
+        for x, y in itertools.combinations(members, 2):
+            for z in range(L.n):
+                if class_of[L.join(x, z)] != class_of[L.join(y, z)]:
+                    return False
+                if class_of[L.meet(x, z)] != class_of[L.meet(y, z)]:
+                    return False
+    return True
+
+
+def set_partitions(n):
+    """Every set partition of range(n), as restricted growth strings."""
+    rgs = [0] * n
+
+    def rec(i, m):
+        if i == n:
+            yield list(rgs)
+            return
+        for c in range(m + 1):
+            rgs[i] = c
+            yield from rec(i + 1, max(m, c + 1))
+
+    yield from rec(0, 0)
+
+
+def congruences_by_scan(L):
+    """Every congruence of a tiny lattice, by filtering all set partitions."""
+    for class_of in set_partitions(L.n):
+        buckets = {}
+        for i, c in enumerate(class_of):
+            buckets.setdefault(c, []).append(i)
+        if is_congruence(L, list(buckets.values())):
+            yield Congruence(L, class_of)
+
+
+def congruence_by_closure(L, jis):
+    """Smallest congruence contracting the given join-irreducibles, by
+    union-find: whenever x = y is forced, so are x v z = y v z and
+    x ^ z = y ^ z for every z."""
+    parent = list(range(L.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    work = [(j, L.covers_down[j][0]) for j in jis]
+    while work:
+        x, y = work.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[rx] = ry
+        jx, jy = L._join[x], L._join[y]
+        mx, my = L._meet[x], L._meet[y]
+        for z in range(L.n):
+            a, b = jx[z], jy[z]
+            if a != b and find(a) != find(b):
+                work.append((a, b))
+            a, b = mx[z], my[z]
+            if a != b and find(a) != find(b):
+                work.append((a, b))
+    return Congruence(L, [find(i) for i in range(L.n)])
+
+
 def test_congruence_tests_agree_on_all_partitions_of_hexagon():
     L = build_lattice(hexagon_covers())
-    for class_of in lat._set_partitions(L.n):
+    for class_of in set_partitions(L.n):
         buckets = {}
         for i, c in enumerate(class_of):
             buckets.setdefault(c, []).append(i)
@@ -215,8 +304,6 @@ def test_cjr_quotient_check_identity():
 
 @pytest.mark.parametrize("family,n", [("A", 4), ("A", 5), ("B", 3), ("B", 4)])
 def test_lattice_axioms_sampled(family, n):
-    import random
-
     W = weak_order_lattice(CoxeterType(family, n))
     rng = random.Random(n)
     for _ in range(300):
@@ -404,13 +491,18 @@ def test_cjr_oracle_matches_search_on_b3_quotients():
         check_against_search(quotient(W, principal_congruence(W, j)))
 
 
-def test_cjr_oracle_matches_search_on_random_meet_closed_lattices():
-    import random
-
+@functools.lru_cache(maxsize=None)
+def random_meet_closed_lattices():
+    """400 seeded random meet-closed lattices, built once per session."""
     rng = random.Random(2015)
+    return tuple(
+        meet_closed_lattice(rng, rng.randint(3, 6), rng.randint(2, 8)) for _ in range(400)
+    )
+
+
+def test_cjr_oracle_matches_search_on_random_meet_closed_lattices():
     nones = 0
-    for _ in range(400):
-        L = meet_closed_lattice(rng, rng.randint(3, 6), rng.randint(2, 8))
+    for L in random_meet_closed_lattices():
         nones += check_against_search(L)
     assert nones > 0
 
@@ -419,3 +511,55 @@ def test_cjr_oracle_top_of_m3_is_none():
     L = build_lattice(M3)
     assert cjr_oracle(L, L.top) is None
     assert cjr_oracle(L, L.index["a"]) == frozenset([L.index["a"]])
+
+
+REFERENCE_LATTICES = dict(
+    LATTICES,
+    A5=lambda: weak_order_lattice(CoxeterType("A", 5)),
+    B4=lambda: weak_order_lattice(CoxeterType("B", 4)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+def test_principal_congruence_matches_closure(name):
+    L = REFERENCE_LATTICES[name]()
+    for j in join_irreducibles(L):
+        expect = congruence_by_closure(L, [j.element])
+        assert principal_congruence(L, j).class_of == expect.class_of, L.labels[j.element]
+        assert principal_congruence(L, j.element).class_of == expect.class_of
+
+
+def test_generated_congruences_match_closure_on_random_meet_closed_lattices():
+    checked = 0
+    for L in random_meet_closed_lattices():
+        for M in (L, dual_lattice(L)):
+            jis = [j.element for j in join_irreducibles(M)]
+            gens = itertools.chain(
+                itertools.combinations(jis, 1), itertools.combinations(jis, 2)
+            )
+            for g in gens:
+                expect = congruence_by_closure(M, g).class_of
+                assert lat.congruence_generated_by(M, g).class_of == expect, (M, g)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("name", ["M3", "N5", "B2", "hexagon", "chain"])
+def test_all_congruences_match_partition_scan(name):
+    L = {
+        "hexagon": lambda: build_lattice(hexagon_covers()),
+        "chain": lambda: build_lattice([(i, i + 1) for i in range(5)]),
+        **LATTICES,
+    }[name]()
+    for M in (L, dual_lattice(L)):
+        got = list(lat.all_congruences(M))
+        assert len(got) == len(set(got))
+        assert set(got) == set(congruences_by_scan(M))
+
+
+def test_forcing_oracle_rejects_non_join_irreducibles():
+    L = build_lattice(M3)
+    with pytest.raises(ValueError):
+        forcing_oracle(L, L.index["a"], L.top)
+    with pytest.raises(ValueError):
+        lat.congruence_generated_by(L, [L.bottom])

@@ -156,7 +156,11 @@ def _unfold_long_raw(left_end: int, right_end: int, left: frozenset, right: froz
 def validate_long_arc(left_end: int, right_end: int, left: Iterable[int], right: Iterable[int]) -> bool:
     """A long arc is drawable iff its unfolded antipodal arcs do not cross
     and the arc read as the right copy really lies right of its antipode."""
-    left, right = frozenset(left), frozenset(right)
+    return _drawable(left_end, right_end, frozenset(left), frozenset(right))
+
+
+@lru_cache(maxsize=100000)
+def _drawable(left_end: int, right_end: int, left: frozenset, right: frozenset) -> bool:
     if left_end == right_end or left & right:
         return False
     if not left <= frozenset(range(1, left_end)):

@@ -150,17 +150,16 @@ def hom_closed_form(n: int, variant: str) -> frozenset:
     return _arcs_where(n, lambda arc: _hom_contracts(variant, arc))
 
 
+def _cambrian_contracts(arc: TypeBArc, rights: frozenset, lefts: frozenset) -> bool:
+    return any(passes_right_of(arc, i) for i in rights) or any(passes_left_of(arc, i) for i in lefts)
+
+
 def cambrian_congruence(n: int, d: Designation) -> ArcCongruence:
     """Contracts every arc passing right of a right point or left of a left one."""
     if d.n != n:
         raise ValueError("designation size mismatch")
-    contracted = frozenset(
-        arc
-        for arc in forcing._all_arcs(n)
-        if any(passes_right_of(arc, i) for i in d.right_points())
-        or any(passes_left_of(arc, i) for i in d.left_points())
-    )
-    return ArcCongruence(n, contracted)
+    rights, lefts = d.right_points(), d.left_points()
+    return ArcCongruence(n, _arcs_where(n, lambda arc: _cambrian_contracts(arc, rights, lefts)))
 
 
 def _avoids(pi: SignedPermutation, order: Tuple[int, int, int], mids: frozenset) -> bool:
@@ -236,8 +235,10 @@ class NCPartitionB:
 
 def ncp_of_diagram(diagram: DiagramB, d: Designation) -> NCPartitionB:
     """Blocks of the connected components of a designation-respecting diagram."""
-    theta = cambrian_congruence(diagram.n, d)
-    if any(a in theta.contracted for a in diagram.arcs):
+    if d.n != diagram.n:
+        raise ValueError("designation size mismatch")
+    rights, lefts = d.right_points(), d.left_points()
+    if any(_cambrian_contracts(a, rights, lefts) for a in diagram.arcs):
         raise ValueError("diagram uses contracted arcs")
     points = range(1, diagram.n + 1)
     ordinary = [(a.bottom, a.top) for a in diagram.arcs if isinstance(a, OrdinaryArc)]

@@ -10,7 +10,7 @@ contracted descents one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,7 +25,7 @@ from .arcs_b import (
     TypeBArc,
 )
 from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
-from .permutations import SignedPermutation, all_signed_permutations
+from .permutations import SignedPermutation, all_signed_permutations, signed_words
 from .util import between, bits, closed_sets, transitive_closure
 
 
@@ -257,23 +257,30 @@ def _all_arcs(n: int) -> tuple:
 
 class ArcTable:
     """One arc model on n points: its arcs in a fixed order, their index, and
-    one bitmask row per arc.  Bit j of row i is set when
-    relation(arcs[i], arcs[j]) holds; a row is computed the first time it is
-    asked for, then kept."""
+    one bitmask row and column per arc.  Bit j of row i, and bit i of column
+    j, is set when relation(arcs[i], arcs[j]) holds; a row or column is
+    computed the first time it is asked for, then kept."""
 
     def __init__(self, n: int, arcs: Sequence, relation: Callable[[object, object], bool]):
         self.n = n
         self.arcs = tuple(arcs)
         self.index = {a: i for i, a in enumerate(self.arcs)}
+        self.full = (1 << len(self.arcs)) - 1
         self.relation = relation
         self._rows: List[Optional[int]] = [None] * len(self.arcs)
+        self._cols: List[Optional[int]] = [None] * len(self.arcs)
 
     def row(self, i: int) -> int:
         if self._rows[i] is None:
             a, rel = self.arcs[i], self.relation
-            related = [b for b in self.arcs if rel(a, b)]
-            self._rows[i] = sum(1 << self.index[b] for b in related)
+            self._rows[i] = sum(1 << j for j, b in enumerate(self.arcs) if rel(a, b))
         return self._rows[i]
+
+    def col(self, j: int) -> int:
+        if self._cols[j] is None:
+            b, rel = self.arcs[j], self.relation
+            self._cols[j] = sum(1 << i for i, a in enumerate(self.arcs) if rel(a, b))
+        return self._cols[j]
 
     def up(self, mask: int) -> int:
         """The OR of the rows of the arcs in mask."""
@@ -317,11 +324,27 @@ class ArcCongruence:
     table = staticmethod(subarc_table)
 
     def __post_init__(self):
+        # Up-closure on the smaller side: contracted rows or uncontracted
+        # columns; both find exactly the subarc pairs that leave the mask.
         table = self.table(self.n)
         mask = table.mask(self.contracted)
-        for arc in self.contracted:
-            if table.row(table.index[arc]) & ~mask:
-                raise ValueError(f"contracted set not closed above {arc}")
+        if 2 * len(self.contracted) <= len(table.arcs):
+            bad = next((i for i in bits(mask) if table.row(i) & ~mask), None)
+        else:
+            below = (table.col(j) & mask for j in bits(table.full & ~mask))
+            bad = next((c.bit_length() - 1 for c in below if c), None)
+        if bad is not None:
+            raise ValueError(f"contracted set not closed above {table.arcs[bad]}")
+
+    @cached_property
+    def contracted_keys(self) -> frozenset:
+        """(bottom, top, right) of the unfolded type-A arcs of the contracted
+        arcs, with right the bitmask of the points v at bit v + n."""
+        n = self.n
+        return frozenset(
+            (a.bottom, a.top, sum(1 << (v + n) for v in a.right))
+            for arc in self.contracted for a in arcs_b.unfold_arcs(arc)
+        )
 
     @classmethod
     def identity(cls, n: int) -> "ArcCongruence":
@@ -358,11 +381,11 @@ def congruence_join(t1: ArcCongruence, t2: ArcCongruence) -> ArcCongruence:
 def meet_irreducible_congruence(n: int, arc: TypeBArc) -> ArcCongruence:
     """The coarsest congruence not contracting the given arc: its
     uncontracted arcs are exactly the subarcs of the arc."""
-    return ArcCongruence(
-        n, frozenset(b for b in _all_arcs(n) if not is_subarc(b, arc))
-    )
+    table = subarc_table(n)
+    return ArcCongruence(n, table.arcs_of(table.full & ~table.col(table.index[arc])))
 
 
+# project no longer reads this cache; it stays for benchmark cache reports.
 @lru_cache(maxsize=200000)
 def _signed_descent_arcs_cached(word: Tuple[int, ...]) -> tuple:
     return tuple(arcs_b.signed_descent_arcs(SignedPermutation(word)))
@@ -373,35 +396,40 @@ def _descent_arcs_cached(word: Tuple[int, ...]) -> tuple:
     return tuple(arcs_a.descent_arcs(word))
 
 
+def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
+    """The first descent of a signed word whose arc is in keys (see
+    ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
+    short position; None if there is none.  The points right of a descent's
+    arc are the values between its ends that come after it in the word."""
+    n, q = len(word), -word[0]
+    for k, p in enumerate(word, -1):
+        if q > p:
+            right = sum(1 << (v + n) for v in word[k + 2:] if p < v < q)
+            if (p, q, right) in keys:
+                return k
+        q = p
+    return None
+
+
 def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
     """Bottom element of the congruence class of pi.
 
     Descends one cover at a time, removing a descent whose arc is
     contracted, until every arc of the diagram is uncontracted.
     """
-    while True:
-        step = None
-        for key, arc in _signed_descent_arcs_cached(pi.word):
-            if arc in theta.contracted:
-                step = key
-                break
-        if step is None:
-            return pi
-        w = list(pi.word)
-        if step == "center":
+    keys, w = theta.contracted_keys, list(pi.word)
+    while (step := contracted_descent(w, keys)) is not None:
+        if step < 0:
             w[0] = -w[0]
         else:
             w[step], w[step + 1] = w[step + 1], w[step]
-        pi = SignedPermutation(tuple(w))
+    return pi if tuple(w) == pi.word else SignedPermutation(tuple(w))
 
 
 def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
     """Class bottoms: elements whose diagram avoids all contracted arcs."""
-    out = []
-    for pi in all_signed_permutations(theta.n):
-        if all(arc not in theta.contracted for _k, arc in arcs_b.signed_descent_arcs(pi)):
-            out.append(pi)
-    return out
+    keys = theta.contracted_keys
+    return [SignedPermutation(w) for w in signed_words(theta.n) if contracted_descent(w, keys) is None]
 
 
 def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:

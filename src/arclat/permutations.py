@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Tuple
 
 from .lattice import FiniteLattice, ScopeExceeded, build_lattice
@@ -199,11 +200,16 @@ def check_signed_rank(n: int) -> None:
         raise ScopeExceeded("signed permutations enumerated up to n = 6")
 
 
-def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+def signed_words(n: int) -> Iterator[Word]:
+    """Short words of the signed permutations of rank n, in a fixed order."""
     check_signed_rank(n)
     for base in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(tuple(s * v for s, v in zip(signs, base)))
+            yield tuple(map(mul, signs, base))
+
+
+def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
+    return map(SignedPermutation, signed_words(n))
 
 
 def weak_order_lattice(cox: CoxeterType) -> FiniteLattice:

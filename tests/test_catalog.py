@@ -236,3 +236,17 @@ def test_linear_generators_reach_closed_form(n):
 def test_bicambrian_scope():
     with pytest.raises(lat.ScopeExceeded):
         bicambrian_bipartite(2)
+
+
+def test_ncp_rejects_contracted_arcs():
+    d = Designation(("R", "L"))
+    contracted = cambrian_congruence(3, d).contracted
+    for arc in arcs_b.all_arcs(3):
+        diagram = arcs_b.DiagramB(3, frozenset([arc]))
+        if arc in contracted:
+            with pytest.raises(ValueError, match="contracted"):
+                ncp_of_diagram(diagram, d)
+        else:
+            assert diagram_of_ncp(ncp_of_diagram(diagram, d), d) == diagram
+    with pytest.raises(ValueError, match="size mismatch"):
+        ncp_of_diagram(arcs_b.DiagramB(2, frozenset()), d)

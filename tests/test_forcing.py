@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -231,10 +233,16 @@ def test_meet_irreducible_congruence():
     assert arc not in theta.contracted
 
 
+@functools.lru_cache(maxsize=None)
+def all_arc_congruences(n):
+    """forcing.all_congruences(n), enumerated once for the tests that read it."""
+    return tuple(forcing.all_congruences(n))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_partitions_are_congruences(n):
     W = weak_order_lattice(CoxeterType("B", n))
-    thetas = forcing.all_congruences(n)
+    thetas = all_arc_congruences(n)
     if n == 3:
         thetas = thetas[:: max(1, len(thetas) // 40)]
     for theta in thetas:
@@ -257,7 +265,7 @@ def lattice_contracted_arcs(n):
 @pytest.mark.parametrize("n,count", [(2, 19), (3, 8368)])
 def test_congruences_are_the_up_closed_arc_sets(n, count):
     from_lattice = lattice_contracted_arcs(n)
-    from_arcs = {theta.contracted for theta in forcing.all_congruences(n)}
+    from_arcs = {theta.contracted for theta in all_arc_congruences(n)}
     assert len(from_lattice) == len(set(from_lattice)) == count
     assert set(from_lattice) == from_arcs
 
@@ -400,3 +408,128 @@ def test_arrow_edges_validate():
         forcing.ArrowEdge(
             OrbifoldArc(2, frozenset()), OrbifoldArc(1, frozenset())
         )
+
+
+@functools.lru_cache(maxsize=None)
+def descent_arcs_by_word(n):
+    """Each signed word of rank n with its quotient descent arcs, computed
+    once, in the order of all_signed_permutations."""
+    return {pi.word: arcs_b.signed_descent_arcs(pi) for pi in all_signed_permutations(n)}
+
+
+def quotient_words_by_arcs(theta):
+    """Reference filter: the words none of whose descent arcs is contracted."""
+    return [
+        w for w, arcs in descent_arcs_by_word(theta.n).items()
+        if all(arc not in theta.contracted for _k, arc in arcs)
+    ]
+
+
+def class_words_by_arcs(theta):
+    """Reference classes: step down by the first contracted descent arc until
+    none is left; "center" flips the first sign, a position k swaps k, k + 1.
+    Each word's bottom is kept, so later walks stop where earlier ones went."""
+    arcs_of = descent_arcs_by_word(theta.n)
+    bottom = {}
+
+    def project(w):
+        path = []
+        while w not in bottom:
+            step = next((k for k, arc in arcs_of[w] if arc in theta.contracted), None)
+            if step is None:
+                bottom[w] = w
+                break
+            path.append(w)
+            w = list(w)
+            if step == "center":
+                w[0] = -w[0]
+            else:
+                w[step], w[step + 1] = w[step + 1], w[step]
+            w = tuple(w)
+        for u in path:
+            bottom[u] = bottom[w]
+        return bottom[w]
+
+    fibers = {}
+    for w in arcs_of:
+        fibers.setdefault(project(w), []).append(w)
+    return list(fibers.values())
+
+
+def assert_quotient_matches_references(theta):
+    elements = [pi.word for pi in forcing.quotient_elements(theta)]
+    classes = [[pi.word for pi in c] for c in forcing.element_partition(theta)]
+    expected = (quotient_words_by_arcs(theta), class_words_by_arcs(theta))
+    assert (elements, classes) == expected, sorted(theta.contracted, key=arcs_b.arc_key)
+
+
+@pytest.mark.parametrize("n,stride", [(2, 1), (3, 8)])
+def test_quotients_match_descent_arc_references(n, stride):
+    """Every stride-th congruence in enumeration order (1,046 at n = 3): all
+    8,368 would add about 8 s to the suite."""
+    for theta in all_arc_congruences(n)[::stride]:
+        assert_quotient_matches_references(theta)
+
+
+def test_named_quotients_match_descent_arc_references():
+    n = 4
+    thetas = [
+        catalog.cambrian_congruence(n, catalog.Designation(s))
+        for s in itertools.product("RL", repeat=n - 1)
+    ]
+    thetas += [
+        catalog.parabolic_congruence(n, gens)
+        for k in range(n + 1)
+        for gens in itertools.combinations(range(n), k)
+    ]
+    for theta in thetas:
+        assert_quotient_matches_references(theta)
+
+
+def closed_above_by_rows(arcs, contracted):
+    """Reference check: no contracted arc is a subarc of an uncontracted one."""
+    return not any(is_subarc(c, u) for c in contracted for u in arcs if u not in contracted)
+
+
+def test_validation_matches_the_row_check_on_both_sides():
+    arcs = arcs_b.all_arcs(3)
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(800):
+        if rng.random() < 0.5:
+            contracted = set(rng.sample(arcs, rng.randint(0, len(arcs))))
+        else:
+            gens = rng.sample(arcs, rng.randint(1, 3))
+            contracted = {u for u in arcs if any(is_subarc(g, u) for g in gens)}
+            if rng.random() < 0.5:
+                contracted ^= {rng.choice(arcs)}
+        contracted = frozenset(contracted)
+        closed = closed_above_by_rows(arcs, contracted)
+        seen.add((2 * len(contracted) <= len(arcs), closed))
+        if closed:
+            assert ArcCongruence(3, contracted).contracted == contracted
+        else:
+            with pytest.raises(ValueError, match="not closed above"):
+                ArcCongruence(3, contracted)
+    assert seen == {(small, closed) for small in (True, False) for closed in (True, False)}
+
+
+@pytest.mark.parametrize(
+    "cls,n,subarc",
+    [(ArcCongruence, 2, is_subarc), (ArcCongruence, 3, is_subarc), (ArcCongruence, 4, is_subarc),
+     (forcing.ArcCongruenceA, 2, arcs_a.is_subarc), (forcing.ArcCongruenceA, 3, arcs_a.is_subarc)],
+)
+def test_all_but_one_arc_is_closed_exactly_at_minimal_arcs(cls, n, subarc):
+    """Contracting every arc but a fails exactly when a has a proper subarc:
+    a large contracted set, so the check reads the uncontracted arc's column."""
+    arcs = cls.table(n).arcs
+    minimal = 0
+    for a in arcs:
+        contracted = frozenset(arcs) - {a}
+        if any(b != a and subarc(b, a) for b in arcs):
+            with pytest.raises(ValueError, match="not closed above"):
+                cls(n, contracted)
+        else:
+            minimal += 1
+            assert cls(n, contracted).uncontracted() == {a}
+    assert 0 < minimal < len(arcs)

@@ -114,11 +114,6 @@ def compatible(a: ArcA, b: ArcA) -> bool:
     return True
 
 
-def is_diagram(arcs: Iterable[ArcA]) -> bool:
-    arcs = list(arcs)
-    return all(compatible(a, b) for a, b in itertools.combinations(arcs, 2))
-
-
 def descent_arcs(word: Word) -> List[Tuple[int, ArcA]]:
     """One arc per descent of the word, tagged with the descent position.
 

@@ -2,8 +2,10 @@
 
 Regions are strict sign vectors over the hyperplanes, found by exhaustive
 feasibility; cones of hyperplane pieces are stored as a carrier plus strict
-side assignments for the hyperplanes slicing it.  All arithmetic is exact
-rational, so dimension and containment questions are decided bit-exactly.
+side assignments for the hyperplanes slicing it.  All arithmetic is exact:
+normals are integer vectors, spans are decided by integer minors, and
+points and feasibility (`feasible`) are rational, so dimension and
+containment questions are decided bit-exactly.
 """
 
 from __future__ import annotations
@@ -197,30 +199,16 @@ def rank_two(arr: Arrangement, i: int, j: int) -> Tuple[tuple, tuple]:
 
 
 def _in_span(v: Sequence, a: Sequence, b: Sequence) -> bool:
-    """v in span(a, b), all integer vectors."""
-    rows = [list(a), list(b), list(v)]
-    rank = _rank(rows)
-    return rank <= 2
-
-
-def _rank(rows: List[List]) -> int:
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        r += 1
-    return r
+    """v in span(a, b), all integer vectors: every 3 x 3 minor of the rows
+    a, b, v vanishes (in dimension 2 there are none, and rank <= 2 holds)."""
+    for i, j, k in itertools.combinations(range(len(v)), 3):
+        if (
+            a[i] * (b[j] * v[k] - b[k] * v[j])
+            - a[j] * (b[i] * v[k] - b[k] * v[i])
+            + a[k] * (b[i] * v[j] - b[j] * v[i])
+        ):
+            return False
+    return True
 
 
 def cuts(arr: Arrangement, i: int, j: int) -> bool:

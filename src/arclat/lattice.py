@@ -3,12 +3,13 @@ representations, congruences and quotients.
 
 Everything here is definition-level machinery, used as the oracle against
 which the arc-based shortcuts elsewhere in the package are verified: it
-reads only the order, join and meet tables, never the arcs.  Elements are
-dense integer ids assigned in a linear extension, so the minimum of an
-up-set is its lowest set bit and the maximum of a down-set is its highest
-set bit.  Lattices are immutable after construction; the one derived table,
-the forcing table of the congruences (see `_forcing_table`), is built on
-first use and kept on the lattice.
+reads only the order, never the arcs.  Elements are dense integer ids
+assigned in a linear extension, and each keeps its up-set and down-set as
+bitmasks.  As ids extend the order, a join is the lowest set bit of the
+common up-set and a meet the highest set bit of the common down-set.
+Lattices are immutable after construction; the one derived table, the
+forcing table of the congruences (see `_forcing_table`), is built on first
+use and kept on the lattice.
 """
 
 from __future__ import annotations
@@ -95,24 +96,16 @@ class FiniteLattice:
                 if (up[i] & down[j]) != (1 << i | 1 << j):
                     raise NotALattice(f"edge {self.labels[i]!r} -> {self.labels[j]!r} is not a cover")
 
-        self._join = [[0] * n for _ in range(n)]
-        self._meet = [[0] * n for _ in range(n)]
+        # Only joins are checked: a finite poset with a bottom in which every
+        # pair has a join is a lattice, since the meet of a and b is the join
+        # of their common lower bounds (Davey-Priestley, Introduction to
+        # Lattices and Order, ch. 2).
         for a in range(n):
-            ua, da = up[a], down[a]
-            jrow, mrow = self._join[a], self._meet[a]
-            for b in range(a, n):
+            ua = up[a]
+            for b in range(a + 1, n):
                 m = ua & up[b]
-                j = (m & -m).bit_length() - 1
-                if m & ~up[j]:
+                if m & ~up[(m & -m).bit_length() - 1]:
                     raise NotALattice((self.labels[a], self.labels[b]))
-                jrow[b] = j
-                self._join[b][a] = j
-                m = da & down[b]
-                j = m.bit_length() - 1
-                if m & ~down[j]:
-                    raise NotALattice((self.labels[a], self.labels[b]))
-                mrow[b] = j
-                self._meet[b][a] = j
         self._forcing: Optional[tuple] = None
 
     @staticmethod
@@ -142,16 +135,17 @@ class FiniteLattice:
         return bool(self.up[a] >> b & 1)
 
     def join(self, a: int, b: int) -> int:
-        return self._join[a][b]
+        m = self.up[a] & self.up[b]
+        return (m & -m).bit_length() - 1
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+        return (self.down[a] & self.down[b]).bit_length() - 1
 
     def join_all(self, items: Iterable[int]) -> int:
-        out = self.bottom
+        m = self.up[self.bottom]
         for x in items:
-            out = self._join[out][x]
-        return out
+            m &= self.up[x]
+        return (m & -m).bit_length() - 1
 
     def elements(self) -> range:
         return range(self.n)
@@ -474,15 +468,3 @@ def is_isomorphic(a: FiniteLattice, b: FiniteLattice) -> bool:
     edge_b = {(mapping[x], mapping[y]) for x, y in a.covers()}
     return edge_b == set(b.covers())
 
-
-def lattice_to_json(lat: FiniteLattice) -> dict:
-    return {
-        "elements": [repr(lab) if not isinstance(lab, (int, str)) else lab for lab in lat.labels],
-        "covers": [[a, b] for a, b in lat.covers()],
-    }
-
-
-def lattice_from_json(data: dict) -> FiniteLattice:
-    elements = data["elements"]
-    covers = [(elements[a], elements[b]) for a, b in data["covers"]]
-    return FiniteLattice(covers, elements)

@@ -75,14 +75,6 @@ def test_compatibility_matches_cooccurrence_oracle(n):
         assert arcs_a.compatible(a, b) == ((a, b) in together), (a, b)
 
 
-def test_is_diagram():
-    assert arcs_a.is_diagram([])
-    d = arcs_a.diagram_of((6, 4, 3, 7, 1, 2, 5))
-    assert arcs_a.is_diagram(d.arcs)
-    crossing = [make_arc(1, 3, right=[2]), make_arc(2, 4, right=[3])]
-    assert not arcs_a.is_diagram(crossing)
-
-
 def test_join_irreducible_words():
     assert arcs_a.join_irreducible_word(make_arc(1, 2), 2) == (2, 1)
     assert arcs_a.join_irreducible_word(make_arc(1, 3, right=[2]), 3) == (3, 1, 2)

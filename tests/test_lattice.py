@@ -72,6 +72,16 @@ def test_non_cover_edge_rejected():
         build_lattice(DIAMOND + [("0", "1")])
 
 
+def test_bowtie_rejected_for_two_minimal_upper_bounds():
+    """Bounded, every edge a cover, yet a and b have two minimal upper
+    bounds c and d: only the join check can reject it."""
+    bowtie = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+              ("c", "1"), ("d", "1")]
+    with pytest.raises(NotALattice) as err:
+        build_lattice(bowtie)
+    assert set(err.value.args[0]) == {"a", "b"}
+
+
 def test_join_irreducibles_chain_and_octagon():
     chain = build_lattice([(i, i + 1) for i in range(4)])
     assert len(join_irreducibles(chain)) == 4
@@ -206,13 +216,11 @@ def congruence_by_closure(L, jis):
         if rx == ry:
             continue
         parent[rx] = ry
-        jx, jy = L._join[x], L._join[y]
-        mx, my = L._meet[x], L._meet[y]
         for z in range(L.n):
-            a, b = jx[z], jy[z]
+            a, b = L.join(x, z), L.join(y, z)
             if a != b and find(a) != find(b):
                 work.append((a, b))
-            a, b = mx[z], my[z]
+            a, b = L.meet(x, z), L.meet(y, z)
             if a != b and find(a) != find(b):
                 work.append((a, b))
     return Congruence(L, [find(i) for i in range(L.n)])
@@ -341,16 +349,6 @@ def test_canonical_join_faces_are_cliques(family, n):
 
     all_cliques = set(cliques([], vertices))
     assert all_cliques == faces
-
-
-def test_lattice_json_roundtrip():
-    L = weak_order_lattice(CoxeterType("B", 2))
-    data = lat.lattice_to_json(L)
-    back = lat.lattice_from_json(data)
-    assert back.n == L.n
-    assert sorted(map(tuple, data["covers"])) == sorted(
-        (a, b) for a, b in back.covers()
-    )
 
 
 def test_length_counts_inversions_rank_four_signed():
@@ -505,6 +503,18 @@ def test_cjr_oracle_matches_search_on_random_meet_closed_lattices():
     for L in random_meet_closed_lattices():
         nones += check_against_search(L)
     assert nones > 0
+
+
+def test_join_and_meet_are_least_upper_and_greatest_lower_bounds():
+    """join and meet read from the bitmasks agree with the bounds found from
+    leq alone, on every pair of every test lattice and of its dual."""
+    named = [f() for f in LATTICES.values()]
+    for L in named + [dual_lattice(L) for L in named] + list(random_meet_closed_lattices()):
+        for a, b in itertools.combinations_with_replacement(L.elements(), 2):
+            ups = [z for z in L.elements() if L.leq(a, z) and L.leq(b, z)]
+            downs = [z for z in L.elements() if L.leq(z, a) and L.leq(z, b)]
+            assert [z for z in ups if all(L.leq(z, w) for w in ups)] == [L.join(a, b)]
+            assert [z for z in downs if all(L.leq(w, z) for w in downs)] == [L.meet(a, b)]
 
 
 def test_cjr_oracle_top_of_m3_is_none():

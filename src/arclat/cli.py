@@ -12,6 +12,7 @@ forcing-closure n >= 7, symmetry n >= 5, octagon n != 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -239,10 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main (not at import)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

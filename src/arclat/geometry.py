@@ -1,11 +1,16 @@
 """Exact reflection-arrangement geometry at desk scale.
 
-Regions are strict sign vectors over the hyperplanes, found by exhaustive
-feasibility; cones of hyperplane pieces are stored as a carrier plus strict
-side assignments for the hyperplanes slicing it.  All arithmetic is exact:
-normals are integer vectors, spans are decided by integer minors, and
-points and feasibility (`feasible`) are rational, so dimension and
-containment questions are decided bit-exactly.
+Regions are strict sign vectors over the hyperplanes, found by a search that
+assigns signs hyperplane by hyperplane and drops a prefix as soon as its
+cone is empty; cones of hyperplane pieces are stored as a carrier plus
+strict side assignments for the hyperplanes slicing it.  All arithmetic is
+exact: normals are integer vectors, spans are decided by integer minors,
+feasibility (`feasible`) is Fourier-Motzkin on integer rows, and points are
+rational, so dimension and containment questions are decided bit-exactly.
+
+Each `Arrangement` computes a fact once and keeps it: its regions (also
+indexed by sign vector), every rank-two subarrangement asked for, and, per
+shard list, which regions have each shard as a lower shard.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ class Arrangement:
             oriented.append(tuple(h.normal) if d > 0 else tuple(-c for c in h.normal))
         self.oriented = tuple(oriented)
         self._regions: Optional[tuple] = None
+        self._by_signs: Optional[dict] = None
+        self._rank_two: dict = {}  # (i, j) with i < j -> (members, basics)
+        self._uppers: dict = {}  # shard list -> {shard: regions having it as a lower shard}
 
     def m(self) -> int:
         return len(self.hyperplanes)
@@ -85,18 +93,49 @@ class Arrangement:
         return 0 if d == 0 else (1 if d > 0 else -1)
 
     def regions(self) -> tuple:
-        """All regions, as strict sign vectors with rational witnesses."""
+        """All regions, as strict sign vectors with rational witnesses.
+
+        In the order of the sign vectors in itertools.product((1, -1), ...),
+        each witness the one of its full system of strict inequalities.
+        """
         if self._regions is None:
-            found = []
-            for signs in itertools.product((1, -1), repeat=self.m()):
-                sys = LinearSystem(self.dim)
-                for s, normal in zip(signs, self.oriented):
-                    sys.gt([s * c for c in normal])
-                w = sys.witness()
-                if w is not None:
-                    found.append(Region(signs, w))
+            found: List[Region] = []
+            self._extend((), self.base_point, False, found)
             self._regions = tuple(found)
         return self._regions
+
+    def _extend(self, signs: tuple, point: tuple, solved: bool, found: list) -> None:
+        """Regions whose sign vectors start with signs: +1 before -1 on the
+        next hyperplane, pruned where a prefix cone is empty.  point lies in
+        the cone of signs, and is its system's witness if solved."""
+        if len(signs) == self.m():
+            w = point if solved else self._cone(signs).witness()
+            if w is None:
+                raise InvariantError(f"the cone of {signs} holds {point} but has no witness")
+            found.append(Region(signs, w))
+            return
+        normal = self.oriented[len(signs)]
+        for s in (1, -1):
+            child = signs + (s,)
+            if s * dot(normal, point) > 0:
+                self._extend(child, point, False, found)
+            else:
+                w = self._cone(child).witness()
+                if w is not None:
+                    self._extend(child, w, True, found)
+
+    def _cone(self, signs: tuple) -> LinearSystem:
+        """s_i (n_i . x) > 0 for the leading hyperplanes, one per sign."""
+        sys = LinearSystem(self.dim)
+        for s, normal in zip(signs, self.oriented):
+            sys.gt([s * c for c in normal])
+        return sys
+
+    def region_of(self, signs: tuple) -> Optional[Region]:
+        """The region with these signs, or None if that cone is empty."""
+        if self._by_signs is None:
+            self._by_signs = {r.signs: r for r in self.regions()}
+        return self._by_signs.get(signs)
 
     def base_region(self) -> Region:
         return next(r for r in self.regions() if all(s > 0 for s in r.signs))
@@ -176,9 +215,18 @@ def weak_order_isomorphism(arr: Arrangement, lattice: FiniteLattice) -> Dict[int
 
 
 def rank_two(arr: Arrangement, i: int, j: int) -> Tuple[tuple, tuple]:
-    """Members and basic pair of the rank-two subarrangement through H_i, H_j."""
+    """Members and basic pair of the rank-two subarrangement through H_i, H_j,
+    computed once per unordered pair and kept on the arrangement."""
     if i == j:
         raise ValueError("need two distinct hyperplanes")
+    key = (i, j) if i < j else (j, i)
+    known = arr._rank_two.get(key)
+    if known is None:
+        known = arr._rank_two[key] = _rank_two(arr, *key)
+    return known
+
+
+def _rank_two(arr: Arrangement, i: int, j: int) -> Tuple[tuple, tuple]:
     ni, nj = arr.oriented[i], arr.oriented[j]
     members = []
     for k, nk in enumerate(arr.oriented):
@@ -249,21 +297,18 @@ def shards(arr: Arrangement) -> tuple:
     return tuple(out)
 
 
+def _flip(signs: tuple, i: int) -> tuple:
+    return signs[:i] + (-signs[i],) + signs[i + 1:]
+
+
 def region_walls(arr: Arrangement, region: Region) -> list:
     """Hyperplanes supporting facets of the region."""
-    out = []
-    signs = list(region.signs)
-    for i in range(arr.m()):
-        flipped = tuple(-s if k == i else s for k, s in enumerate(signs))
-        if any(r.signs == flipped for r in arr.regions()):
-            out.append(i)
-    return out
+    return [i for i in range(arr.m()) if arr.region_of(_flip(region.signs, i)) is not None]
 
 
 def facet_witness(arr: Arrangement, region: Region, wall: int) -> tuple:
     """Interior point of the facet of the region on the wall."""
-    flipped = tuple(-s if k == wall else s for k, s in enumerate(region.signs))
-    neighbor = next(r for r in arr.regions() if r.signs == flipped)
+    neighbor = arr.region_of(_flip(region.signs, wall))
     a = dot(arr.oriented[wall], region.witness)
     b = dot(arr.oriented[wall], neighbor.witness)
     # combination landing on the wall, strictly inside every other halfspace
@@ -293,9 +338,23 @@ def lower_shards(arr: Arrangement, region: Region, all_shards: Sequence[ShardCon
     return out
 
 
+def _upper_regions(arr: Arrangement, all_shards: Sequence[ShardCone]) -> dict:
+    """Shard -> the regions having it as a lower shard, in region order;
+    built once per arrangement and shard list."""
+    key = tuple(all_shards)
+    table = arr._uppers.get(key)
+    if table is None:
+        table = {}
+        for r in arr.regions():
+            for sh in lower_shards(arr, r, all_shards):
+                table.setdefault(sh, []).append(r)
+        arr._uppers[key] = table
+    return table
+
+
 def min_upper_region(arr: Arrangement, shard: ShardCone, all_shards: Sequence[ShardCone]) -> Region:
     """The unique minimal region having the shard as a lower shard."""
-    uppers = [r for r in arr.regions() if shard in lower_shards(arr, r, all_shards)]
+    uppers = _upper_regions(arr, all_shards).get(shard, [])
     minimal = [
         r
         for r in uppers

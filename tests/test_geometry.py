@@ -4,6 +4,10 @@ import pytest
 
 from arclat import arcs_a, arcs_b, geometry as geo, lattice as lat
 from arclat.permutations import CoxeterType, weak_order_lattice
+from arclat.util import dot
+from test_feasible import FractionSystem
+
+ARRANGEMENTS = [("B", 2), ("B", 3), ("A", 3), ("A", 4)]
 
 
 @pytest.mark.parametrize(
@@ -178,9 +182,73 @@ def test_facet_witness_lies_on_wall():
     region = arr.base_region()
     for wall in geo.region_walls(arr, region):
         u = geo.facet_witness(arr, region, wall)
-        from arclat.util import dot
-
         assert dot(arr.oriented[wall], u) == 0
         for k in range(arr.m()):
             if k != wall:
                 assert dot(arr.oriented[k], u) > 0
+
+
+def _product_scan_regions(arr):
+    """Reference: solve the system of each of the 2^m strict sign vectors,
+    by elimination over Fraction rows."""
+    found = []
+    for signs in itertools.product((1, -1), repeat=arr.m()):
+        sys = FractionSystem(arr.dim)
+        for s, normal in zip(signs, arr.oriented):
+            sys.gt([s * c for c in normal])
+        w = sys.witness()
+        if w is not None:
+            found.append(geo.Region(signs, w))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("family,n", ARRANGEMENTS + [("A", 1), ("A", 2), ("B", 1)])
+def test_regions_match_product_scan(family, n):
+    arr = geo.coxeter_arrangement(CoxeterType(family, n))
+    assert arr.regions() == _product_scan_regions(arr)
+    for r in arr.regions():
+        assert arr.region_of(r.signs) is r
+    assert arr.region_of((1,) * (arr.m() - 1) + (2,)) is None
+
+
+@pytest.mark.parametrize("family,n", ARRANGEMENTS)
+def test_rank_two_is_kept_per_unordered_pair(family, n):
+    arr = geo.coxeter_arrangement(CoxeterType(family, n))
+    for i, j in itertools.permutations(range(arr.m()), 2):
+        got = geo.rank_two(arr, i, j)
+        assert got is geo.rank_two(arr, j, i)
+        assert got == geo._rank_two(arr, i, j) == geo._rank_two(arr, j, i)
+    with pytest.raises(ValueError):
+        geo.rank_two(arr, 0, 0)
+
+
+@pytest.mark.parametrize("family,n", ARRANGEMENTS)
+def test_region_walls_match_linear_scan(family, n):
+    arr = geo.coxeter_arrangement(CoxeterType(family, n))
+    regions = arr.regions()
+    for r in regions:
+        flips = [tuple(-s if k == i else s for k, s in enumerate(r.signs)) for i in range(arr.m())]
+        scan = [i for i, f in enumerate(flips) if any(q.signs == f for q in regions)]
+        assert geo.region_walls(arr, r) == scan
+        for wall in scan:
+            neighbor = next(q for q in regions if q.signs == flips[wall])
+            a = abs(dot(arr.oriented[wall], r.witness))
+            b = abs(dot(arr.oriented[wall], neighbor.witness))
+            want = tuple(b * x + a * y for x, y in zip(r.witness, neighbor.witness))
+            assert geo.facet_witness(arr, r, wall) == want
+
+
+@pytest.mark.parametrize("family,n", ARRANGEMENTS)
+def test_min_upper_region_matches_region_scan(family, n):
+    arr = geo.coxeter_arrangement(CoxeterType(family, n))
+    shards = geo.shards(arr)
+    lows = [(r, geo.lower_shards(arr, r, shards)) for r in arr.regions()]
+    for sh in shards:
+        uppers = [r for r, low in lows if sh in low]
+        minimal = [r for r in uppers if all(r.separating() <= q.separating() for q in uppers)]
+        assert len(minimal) == 1
+        assert geo.min_upper_region(arr, sh, shards) is minimal[0]
+        assert geo.min_upper_region(arr, sh, list(shards)) is minimal[0]
+    stray = geo.ShardCone(shards[0].carrier, ((shards[0].carrier, 1),))
+    with pytest.raises(lat.InvariantError):
+        geo.min_upper_region(arr, stray, shards)

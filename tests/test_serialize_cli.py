@@ -141,6 +141,22 @@ def test_verify_failure_exit_code(monkeypatch):
     assert json.loads(out)["checks"][0]["counterexample"]
 
 
+@pytest.mark.parametrize(
+    "bad,code",
+    [(["map", "--type", "c", "--perm", "[1]"], 2), (["map", "--type", "b", "--perm", "[1, 1]"], 3)],
+)
+def test_parser_is_reused_after_an_error(bad, code):
+    """main keeps one parser; a call after a failed one answers as a fresh parser would."""
+    assert run_cli_full(*bad)[0] == code
+    good = ["quotient", "--congruence", "cambrian:RR", "--n", "3", "--list"]
+    args = cli.build_parser().parse_args(good)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fresh = args.func(args)
+    assert run_cli_full(*good) == (fresh, out.getvalue(), "")
+    assert cli._parser() is cli._parser()
+
+
 def test_enumerate_subcommand():
     code, out = run_cli("enumerate", "--what", "arcs", "--type", "b", "--n", "2")
     assert code == 0 and len(json.loads(out)) == 6

@@ -3,14 +3,18 @@
 Contracting the join-irreducible of an arc forces contracting every
 superarc, so a congruence is stored as an up-closed set of contracted arcs;
 meets and joins of congruences are then set operations.  Element-level
-consequences (class projections, quotient lattices) are derived by removing
-contracted descents one at a time.
+consequences read the descents of signed words as integer arc keys: class
+bottoms are the words with no contracted descent, found by a search that
+drops a suffix at its first one, and classes follow one descent table per
+rank, each word joining the class of the word below a contracted descent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
+from math import factorial
 from operator import or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,7 +29,7 @@ from .arcs_b import (
     TypeBArc,
 )
 from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
-from .permutations import SignedPermutation, all_signed_permutations, signed_words
+from .permutations import SignedPermutation, check_signed_rank, signed_words
 from .util import between, bits, closed_sets, transitive_closure
 
 
@@ -289,9 +293,10 @@ class ArcTable:
     def mask(self, arcs: Iterable) -> int:
         out = 0
         for arc in arcs:
-            if arc not in self.index:
+            i = self.index.get(arc)
+            if i is None:
                 raise ValueError(f"{arc} does not fit on {self.n} points")
-            out |= 1 << self.index[arc]
+            out |= 1 << i
         return out
 
     def arcs_of(self, mask: int) -> frozenset:
@@ -320,6 +325,7 @@ class ArcCongruence:
 
     n: int
     contracted: frozenset
+    mask: int = field(init=False, repr=False, compare=False)  # bit i: table(n).arcs[i]
 
     table = staticmethod(subarc_table)
 
@@ -328,6 +334,7 @@ class ArcCongruence:
         # columns; both find exactly the subarc pairs that leave the mask.
         table = self.table(self.n)
         mask = table.mask(self.contracted)
+        object.__setattr__(self, "mask", mask)
         if 2 * len(self.contracted) <= len(table.arcs):
             bad = next((i for i in bits(mask) if table.row(i) & ~mask), None)
         else:
@@ -338,13 +345,10 @@ class ArcCongruence:
 
     @cached_property
     def contracted_keys(self) -> frozenset:
-        """(bottom, top, right) of the unfolded type-A arcs of the contracted
-        arcs, with right the bitmask of the points v at bit v + n."""
-        n = self.n
-        return frozenset(
-            (a.bottom, a.top, sum(1 << (v + n) for v in a.right))
-            for arc in self.contracted for a in arcs_b.unfold_arcs(arc)
-        )
+        """The keys (see _arc_key) of the unfolded type-A arcs of the
+        contracted arcs."""
+        mask = _signed_mask(self)
+        return frozenset(key for key, i in _arc_index_of_key(self.n).items() if mask >> i & 1)
 
     @classmethod
     def identity(cls, n: int) -> "ArcCongruence":
@@ -396,19 +400,44 @@ def _descent_arcs_cached(word: Tuple[int, ...]) -> tuple:
     return tuple(arcs_a.descent_arcs(word))
 
 
+def _signed_mask(theta: ArcCongruence) -> int:
+    """theta.mask, refused unless its bits index subarc_table(n): the
+    descents of signed words are read against that table only."""
+    if theta.table is not subarc_table:
+        raise TypeError(f"{type(theta).__name__} is not a congruence of the signed weak order")
+    return theta.mask
+
+
+def _arc_key(n: int, p: int, q: int, points: int) -> Tuple[int, int, int]:
+    """(bottom, top, right) of the unfolded arc from p up to q whose right
+    points are those of the bitmask points (point v at bit v + n) that lie
+    strictly between p and q."""
+    return p, q, points & (1 << (q + n)) - (1 << (p + n + 1))
+
+
+@lru_cache(maxsize=None)
+def _arc_index_of_key(n: int) -> Dict[Tuple[int, int, int], int]:
+    """Each unfolded arc's key mapped to its arc's index in subarc_table(n)."""
+    return {
+        _arc_key(n, a.bottom, a.top, sum(1 << (v + n) for v in a.right)): i
+        for i, arc in enumerate(subarc_table(n).arcs) for a in arcs_b.unfold_arcs(arc)
+    }
+
+
 def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
     """The first descent of a signed word whose arc is in keys (see
     ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
     short position; None if there is none.  The points right of a descent's
-    arc are the values between its ends that come after it in the word."""
-    n, q = len(word), -word[0]
-    for k, p in enumerate(word, -1):
-        if q > p:
-            right = sum(1 << (v + n) for v in word[k + 2:] if p < v < q)
-            if (p, q, right) in keys:
-                return k
-        q = p
-    return None
+    arc are the values between its ends that come after it in the word;
+    after holds those of word[k + 2:] while position k is read."""
+    n, after, p, first = len(word), 0, word[-1], None
+    for k in range(n - 2, -1, -1):
+        q = word[k]
+        if q > p and _arc_key(n, p, q, after) in keys:
+            first = k
+        after |= 1 << (p + n)
+        p = q
+    return -1 if p < 0 and _arc_key(n, p, -p, after) in keys else first
 
 
 def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
@@ -427,16 +456,106 @@ def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
 
 
 def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
-    """Class bottoms: elements whose diagram avoids all contracted arcs."""
-    keys = theta.contracted_keys
-    return [SignedPermutation(w) for w in signed_words(theta.n) if contracted_descent(w, keys) is None]
+    """Class bottoms: elements none of whose descent arcs is contracted, in
+    the order of signed_words.
+
+    Words are built right to left, and a suffix is dropped at its first
+    contracted descent, since every word ending in it has that descent; the
+    centre descent is tested once the word is complete.  Each word carries
+    its index in signed_words: the Lehmer digit of the absolute values times
+    m! 2^n, plus 2^m for a negative entry, with m entries to its right.
+    """
+    check_signed_rank(theta.n)
+    n, keys = theta.n, theta.contracted_keys
+    weight = [factorial(m) << n for m in range(n)]
+    found: List[Tuple[int, Tuple[int, ...]]] = []
+
+    def grow(word: Tuple[int, ...], after: int, free: List[int], at: int) -> None:
+        # after holds the points of word[1:]; free the unused absolute values.
+        head, m = word[0], len(word)
+        if not free:
+            if head > 0 or _arc_key(n, head, -head, after) not in keys:
+                found.append((at, word))
+            return
+        points = after | 1 << (head + n)
+        for i, a in enumerate(free):
+            rest, at_a = free[:i] + free[i + 1:], at + (a - 1 - i) * weight[m]
+            if a < head or _arc_key(n, head, a, after) not in keys:
+                grow((a,) + word, points, rest, at_a)
+            if -a < head or _arc_key(n, head, -a, after) not in keys:
+                grow((-a,) + word, points, rest, at_a + (1 << m))
+
+    values = list(range(1, n + 1))
+    for i, a in enumerate(values):
+        rest = values[:i] + values[i + 1:]
+        grow((a,), 0, rest, (a - 1 - i) * weight[0])
+        grow((-a,), 0, rest, (a - 1 - i) * weight[0] + 1)
+    found.sort()
+    return [SignedPermutation(w) for _at, w in found]
+
+
+class DescentTable:
+    """The descents of every signed word of rank n, the words indexed in the
+    order of signed_words.  Word i's descents, the centre first and then by
+    position, are entries start[i] to start[i + 1] - 1 of arc (the index of
+    the descent's arc in subarc_table(n).arcs) and lower (the index of the
+    word one step down).  order lists the words by length, a linear
+    extension of the weak order."""
+
+    def __init__(self, n: int):
+        words = list(signed_words(n))
+        index = {w: i for i, w in enumerate(words)}
+        arc_of = _arc_index_of_key(n)
+        self.start, self.arc, self.lower = array("i", [0]), array("i"), array("i")
+        lengths = []
+        for w in words:
+            # Right to left; after holds the points of w[k + 2:], then of
+            # w[k + 1:].  The length is the inversions plus the negated
+            # negative entries.
+            steps, after, p = [], 0, w[-1]
+            length = max(0, -p)
+            for k in range(n - 2, -1, -1):
+                q = w[k]
+                if q > p:
+                    steps.append((arc_of[_arc_key(n, p, q, after)], w[:k] + (p, q) + w[k + 2:]))
+                after |= 1 << (p + n)
+                length += (after & (1 << (q + n)) - 1).bit_count() + max(0, -q)
+                p = q
+            if p < 0:
+                steps.append((arc_of[_arc_key(n, p, -p, after)], (-p,) + w[1:]))
+            for a, u in reversed(steps):
+                self.arc.append(a)
+                self.lower.append(index[u])
+            self.start.append(len(self.arc))
+            lengths.append(length)
+        self.order = array("i", sorted(range(len(words)), key=lengths.__getitem__))
+
+
+@lru_cache(maxsize=None)
+def descent_table(n: int) -> DescentTable:
+    """The descent table of rank n, built on first use."""
+    return DescentTable(n)
 
 
 def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
-    """Congruence classes as fibers of the projection map."""
-    fibers: Dict[SignedPermutation, List[SignedPermutation]] = {}
-    for pi in all_signed_permutations(theta.n):
-        fibers.setdefault(project(pi, theta), []).append(pi)
+    """Congruence classes as fibers of the projection map, each in the order
+    of signed_words, ordered by their first members.
+
+    A word is its class bottom when none of its descent arcs is contracted;
+    otherwise it shares the bottom of the word below its first contracted
+    descent, which comes earlier in the descent table's order.
+    """
+    table, mask = descent_table(theta.n), _signed_mask(theta)
+    start, arc, lower = table.start, table.arc, table.lower
+    bottom = list(range(len(table.order)))
+    for i in table.order:
+        for j in range(start[i], start[i + 1]):
+            if mask >> arc[j] & 1:
+                bottom[i] = bottom[lower[j]]
+                break
+    fibers: Dict[int, List[SignedPermutation]] = {b: [] for b in bottom}
+    for b, w in zip(bottom, signed_words(theta.n)):
+        fibers[b].append(SignedPermutation(w))
     return list(fibers.values())
 
 

@@ -88,10 +88,6 @@ class Arrangement:
     def m(self) -> int:
         return len(self.hyperplanes)
 
-    def side(self, i: int, x: Sequence) -> int:
-        d = dot(self.oriented[i], x)
-        return 0 if d == 0 else (1 if d > 0 else -1)
-
     def regions(self) -> tuple:
         """All regions, as strict sign vectors with rational witnesses.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Tuple
 
@@ -212,8 +213,10 @@ def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
     return map(SignedPermutation, signed_words(n))
 
 
+@lru_cache(maxsize=None)
 def weak_order_lattice(cox: CoxeterType) -> FiniteLattice:
-    """The weak order as an explicit lattice; labels are the group elements."""
+    """The weak order as an explicit lattice; labels are the group elements.
+    One lattice per type, built on first use and shared by every caller."""
     if cox.family == "A":
         if cox.n > 6:
             raise ScopeExceeded("type A weak order supported up to n = 6")

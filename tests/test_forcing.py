@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from arclat.forcing import (
 )
 from arclat.permutations import (
     CoxeterType,
+    SignedPermutation,
     all_signed_permutations,
+    signed_words,
     unfold,
     weak_order_lattice,
 )
@@ -175,6 +178,7 @@ def test_contracted_arcs_must_fit():
         lambda: catalog.cambrian_congruence(8, catalog.Designation(tuple("R" * 7))),
         lambda: forcing.all_congruences(4),
         lambda: list(lat.all_congruences(lat.build_lattice([(i, i + 1) for i in range(27)]))),
+        lambda: forcing.descent_table(7),
     ],
 )
 def test_scope_guards(work):
@@ -183,7 +187,6 @@ def test_scope_guards(work):
 
 
 def test_quotient_elements_sizes():
-    import math
 
     theta = ArcCongruence.identity(3)
     assert len(forcing.quotient_elements(theta)) == 48
@@ -410,10 +413,11 @@ def test_arrow_edges_validate():
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def descent_arcs_by_word(n):
-    """Each signed word of rank n with its quotient descent arcs, computed
-    once, in the order of all_signed_permutations."""
+    """Each signed word of rank n with its quotient descent arcs, in the order
+    of all_signed_permutations; the latest rank is kept, since the tests
+    that read it go through the ranks in turn."""
     return {pi.word: arcs_b.signed_descent_arcs(pi) for pi in all_signed_permutations(n)}
 
 
@@ -461,6 +465,7 @@ def assert_quotient_matches_references(theta):
     classes = [[pi.word for pi in c] for c in forcing.element_partition(theta)]
     expected = (quotient_words_by_arcs(theta), class_words_by_arcs(theta))
     assert (elements, classes) == expected, sorted(theta.contracted, key=arcs_b.arc_key)
+    return elements, classes
 
 
 @pytest.mark.parametrize("n,stride", [(2, 1), (3, 8)])
@@ -471,19 +476,100 @@ def test_quotients_match_descent_arc_references(n, stride):
         assert_quotient_matches_references(theta)
 
 
+def quotient_words_by_scan(theta):
+    """The whole-group scan: every signed word, kept when contracted_descent
+    finds none of its descent keys among the contracted ones."""
+    keys = theta.contracted_keys
+    return [w for w in signed_words(theta.n) if forcing.contracted_descent(w, keys) is None]
+
+
+def classes_by_project(theta):
+    """The fibers of project, each element walked down one step at a time."""
+    fibers = {}
+    for pi in all_signed_permutations(theta.n):
+        fibers.setdefault(forcing.project(pi, theta), []).append(pi)
+    return list(fibers.values())
+
+
 def test_named_quotients_match_descent_arc_references():
     n = 4
-    thetas = [
+    cambrian = [
         catalog.cambrian_congruence(n, catalog.Designation(s))
         for s in itertools.product("RL", repeat=n - 1)
     ]
-    thetas += [
+    parabolic = [
         catalog.parabolic_congruence(n, gens)
         for k in range(n + 1)
         for gens in itertools.combinations(range(n), k)
     ]
-    for theta in thetas:
-        assert_quotient_matches_references(theta)
+    for theta in cambrian + parabolic:
+        elements, _classes = assert_quotient_matches_references(theta)
+        assert elements == quotient_words_by_scan(theta)
+    for theta in cambrian:
+        assert forcing.element_partition(theta) == classes_by_project(theta)
+
+
+def rank_five_congruences():
+    """Four Cambrian, four parabolic and four seeded generated congruences,
+    the last generated by arcs on the first three points, so that each
+    contracts many arcs."""
+    n, rng = 5, random.Random(5)
+    thetas = [
+        catalog.cambrian_congruence(n, catalog.Designation(tuple(s)))
+        for s in ("RRRR", "LLLL", "RLRL", "LRRL")
+    ]
+    thetas += [catalog.parabolic_congruence(n, gens) for gens in ((0,), (1, 3), (0, 2, 4), (1, 2, 3, 4))]
+    low = arcs_b.all_arcs(3)
+    thetas += [ArcCongruence.from_generators(n, rng.sample(low, k)) for k in (1, 1, 2, 3)]
+    return thetas
+
+
+def test_rank_five_quotients_match_descent_arc_references():
+    sizes = [len(assert_quotient_matches_references(theta)[0]) for theta in rank_five_congruences()]
+    assert sizes == [252] * 4 + [120, 8, 4, 2] + [3516, 3468, 1728, 48]
+
+
+@pytest.mark.parametrize("sides", ["RRRRR", "RLRLR"])
+def test_rank_six_cambrian_elements_match_the_scan(sides):
+    theta = catalog.cambrian_congruence(6, catalog.Designation(tuple(sides)))
+    elements = [pi.word for pi in forcing.quotient_elements(theta)]
+    assert len(elements) == math.comb(12, 6) == 924
+    assert elements == quotient_words_by_scan(theta)
+
+
+def test_signed_quotients_refuse_symmetric_congruences():
+    theta = forcing.ArcCongruenceA.from_generators(2, [_symmetric_arcs(2)[0]])
+    for work in (forcing.quotient_elements, forcing.element_partition):
+        with pytest.raises(TypeError):
+            work(theta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_descent_table_invariants(n):
+    """Each entry is a descent of its word, in signed_descent_arcs order, with
+    its arc and the word one step down, one shorter; order sorts by length."""
+    table = forcing.descent_table(n)
+    arcs = forcing.subarc_table(n).arcs
+    words = list(signed_words(n))
+    length = [SignedPermutation(w).length() for w in words]
+    assert len(table.start) == len(words) + 1
+    assert sorted(table.order) == list(range(len(words)))
+    assert [length[i] for i in table.order] == sorted(length)
+    rank = {i: r for r, i in enumerate(table.order)}
+    arcs_of = descent_arcs_by_word(n)
+    for i, w in enumerate(words):
+        entries = range(table.start[i], table.start[i + 1])
+        descents = arcs_of[w]
+        assert [arcs[table.arc[j]] for j in entries] == [arc for _k, arc in descents]
+        for j, (k, _arc) in zip(entries, descents):
+            lower = list(w)
+            if k == "center":
+                lower[0] = -lower[0]
+            else:
+                lower[k], lower[k + 1] = lower[k + 1], lower[k]
+            assert words[table.lower[j]] == tuple(lower)
+            assert length[table.lower[j]] == length[i] - 1
+            assert rank[table.lower[j]] < rank[i]
 
 
 def closed_above_by_rows(arcs, contracted):

@@ -76,6 +76,16 @@ def test_weak_order_lattice_sizes():
     assert weak_order_lattice(CoxeterType("B", 3)).n == 48
 
 
+@pytest.mark.parametrize("family,n", [("B", 3), ("A", 4)])
+def test_weak_order_lattice_is_built_once(family, n):
+    cox = CoxeterType(family, n)
+    W = weak_order_lattice(cox)
+    assert weak_order_lattice(CoxeterType(family, n)) is W
+    fresh = weak_order_lattice.__wrapped__(cox)
+    assert fresh is not W
+    assert (W.labels, W.up, W.down) == (fresh.labels, fresh.up, fresh.down)
+
+
 def test_scope_guard():
     with pytest.raises(lat.ScopeExceeded):
         weak_order_lattice(CoxeterType("B", 5))

@@ -14,15 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from . import arcs_a
 from .arcs_a import ArcA, DiagramA
 from .lattice import InvariantError, ScopeExceeded
 from .permutations import SignedPermutation, fold, unfold
-from .util import between
+from .util import between, bits
 
 Word = Tuple[int, ...]
+Key = Tuple[int, int, int]
 
 
 class InvalidArc(ValueError):
@@ -105,7 +106,7 @@ class LongArc:
             raise InvalidArc("right points must lie below the right endpoint")
         if self.left & self.right:
             raise InvalidArc("left and right points must be disjoint")
-        if not validate_long_arc(self.left_end, self.right_end, self.left, self.right):
+        if not _drawable(self.left_end, self.right_end, self.left, self.right):
             raise InvalidArc(f"pieces of {self!r} cross when drawn")
 
     @property
@@ -153,27 +154,65 @@ def _unfold_long_raw(left_end: int, right_end: int, left: frozenset, right: froz
     return a, arcs_a.antipode(a)
 
 
+# A key (bottom, top, right) names an arc on the points -n..-1, 1..n: its
+# endpoints and the bitmask of the points right of it, point v at bit v + n.
+
+
+def piece_key(n: int, p: int, q: int, points: int) -> Key:
+    """The key of the arc from p up to q whose right points are those of the
+    bitmask points that lie strictly between p and q."""
+    return p, q, points & (1 << (q + n)) - (1 << (p + n + 1))
+
+
+def span(n: int, p: int, q: int) -> int:
+    """The bitmask of the points strictly between p and q."""
+    return (1 << (q + n)) - (1 << (p + n + 1)) & ~(1 << n)
+
+
+def _mirror(n: int, mask: int) -> int:
+    """The points of mask under the half turn v -> -v."""
+    return int(f"{mask:0{2 * n + 1}b}"[::-1], 2)
+
+
+def antipode_key(n: int, key: Key) -> Key:
+    """The key of the arc's image under the half turn; left and right swap."""
+    p, q, right = key
+    return -q, -p, _mirror(n, span(n, p, q) & ~right)
+
+
+def _lies_right_of(n: int, a: Key, b: Key) -> bool:
+    """arcs_a.relation(a, b) == "right" for arcs sharing no top or bottom:
+    an endpoint or passed point of one is a vote when the other passes it,
+    and every vote must say right."""
+    (p, q, ra), (s, t, rb) = a, b
+    if p == s or q == t:
+        return False
+    la, lb = span(n, p, q) & ~ra, span(n, s, t) & ~rb
+    ends_a, ends_b = 1 << (p + n) | 1 << (q + n), 1 << (s + n) | 1 << (t + n)
+    if ends_a & lb or ends_b & ra or ra & lb:
+        return False
+    return bool(ends_a & rb or ends_b & la or la & rb)
+
+
 def validate_long_arc(left_end: int, right_end: int, left: Iterable[int], right: Iterable[int]) -> bool:
     """A long arc is drawable iff its unfolded antipodal arcs do not cross
     and the arc read as the right copy really lies right of its antipode."""
-    return _drawable(left_end, right_end, frozenset(left), frozenset(right))
+    left, right = frozenset(left), frozenset(right)
+    if left_end == right_end or min(left_end, right_end) < 1 or left & right:
+        return False
+    if not (left <= frozenset(range(1, left_end)) and right <= frozenset(range(1, right_end))):
+        return False
+    return _drawable(left_end, right_end, left, right)
 
 
 @lru_cache(maxsize=100000)
 def _drawable(left_end: int, right_end: int, left: frozenset, right: frozenset) -> bool:
-    if left_end == right_end or left & right:
-        return False
-    if not left <= frozenset(range(1, left_end)):
-        return False
-    if not right <= frozenset(range(1, right_end)):
-        return False
-    a, b = _unfold_long_raw(left_end, right_end, left, right)
-    if a.top == b.top or a.bottom == b.bottom:
-        return False
-    try:
-        return arcs_a.relation(a, b) == "right"
-    except ValueError:
-        return False
+    """validate_long_arc for endpoints and side sets already checked.  The
+    right piece runs from -left_end up to right_end, passing right of the
+    points of right and of -v for v in left."""
+    n = max(left_end, right_end)
+    a = (-left_end, right_end, sum(1 << (n + v) for v in right) | sum(1 << (n - v) for v in left))
+    return _lies_right_of(n, a, antipode_key(n, a))
 
 
 @dataclass(frozen=True)
@@ -255,6 +294,17 @@ def unfold_arcs(arc: TypeBArc) -> Tuple[ArcA, ...]:
     if isinstance(sym, SymmetricArc):
         return (sym.as_arc(),)
     return tuple(sorted(sym.arcs, key=ArcA.key))
+
+
+def main_piece(arc: TypeBArc) -> ArcA:
+    """The unfolded piece that stands for the arc: the positive piece of an
+    ordinary arc, the one piece of an orbifold arc, the right piece of a long
+    arc."""
+    pieces = unfold_arcs(arc)
+    if isinstance(arc, OrbifoldArc):
+        return pieces[0]
+    bottom = -arc.left_end if isinstance(arc, LongArc) else arc.bottom
+    return next(a for a in pieces if a.bottom == bottom)
 
 
 def compatible(a: TypeBArc, b: TypeBArc) -> bool:
@@ -418,37 +468,68 @@ def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
     return next(iter(arcs))
 
 
-def all_arcs(n: int) -> List[TypeBArc]:
-    """Every quotient arc on n points; n = 9 has 19,673."""
+class KeyedArcs(NamedTuple):
+    """The arcs on n points in arc_key order, the key of each arc's main
+    piece (see main_piece), and every unfolded piece's key mapped to its
+    arc's index."""
+
+    arcs: Tuple[TypeBArc, ...]
+    main: Tuple[Key, ...]
+    index: Dict[Key, int]
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@lru_cache(maxsize=None)
+def keyed_arcs(n: int) -> KeyedArcs:
+    """Every arc on n points, enumerated as the key of its main piece.
+
+    A long arc's right piece passes each point below both endpoints on at
+    most one side, since its two side sets are disjoint, and passes the
+    lower endpoint, the top of its antipode, on its left: passed on its
+    right, that point would put the right piece left of its antipode.
+    LongArc checks that every arc so built is drawable.
+    """
     if n > 9:
         raise ScopeExceeded("arc enumeration supported up to n = 9")
-    out: List[TypeBArc] = []
-    for a in arcs_a.all_arcs_n(n):
-        out.append(OrdinaryArc(a.bottom, a.top, a.right))
+
+    def points(mask: int) -> frozenset:
+        return frozenset(abs(i - n) for i in bits(mask))
+
+    found: List[Tuple[TypeBArc, Key]] = []
     for top in range(1, n + 1):
-        mids = list(range(1, top))
-        for k in range(len(mids) + 1):
-            for rset in itertools.combinations(mids, k):
-                out.append(OrbifoldArc(top, frozenset(rset)))
-    for left_end in range(1, n + 1):
-        for right_end in range(1, n + 1):
-            if left_end == right_end:
-                continue
-            lcands = list(range(1, left_end))
-            rcands = list(range(1, right_end))
-            for lsub in _subsets(lcands):
-                for rsub in _subsets(rcands):
-                    if lsub & rsub:
-                        continue
-                    if validate_long_arc(left_end, right_end, lsub, rsub):
-                        out.append(LongArc(left_end, right_end, lsub, rsub))
-    return sorted(out, key=arc_key)
+        below = span(n, 0, top)
+        for bottom in range(1, top):
+            for right in _submasks(span(n, bottom, top)):
+                found.append((OrdinaryArc(bottom, top, points(right)), (bottom, top, right)))
+        for right in _submasks(below):
+            key = (-top, top, right | _mirror(n, below & ~right))
+            found.append((OrbifoldArc(top, points(right)), key))
+    for left_end, right_end in itertools.permutations(range(1, n + 1), 2):
+        lefts = span(n, -left_end, 0) & ~(1 << (n - right_end))
+        for left in _submasks(lefts):
+            rights = span(n, 0, right_end) & ~_mirror(n, left) & ~(1 << (n + left_end))
+            for right in _submasks(rights):
+                arc = LongArc(left_end, right_end, points(left), points(right))
+                found.append((arc, (-left_end, right_end, left | right)))
+    found.sort(key=lambda f: f[0].key())
+    index: Dict[Key, int] = {}
+    for i, (arc, key) in enumerate(found):
+        index[key] = index[antipode_key(n, key)] = i
+    return KeyedArcs(tuple(arc for arc, _key in found), tuple(key for _arc, key in found), index)
 
 
-def _subsets(items: Sequence[int]) -> Iterator[frozenset]:
-    for k in range(len(items) + 1):
-        for sub in itertools.combinations(items, k):
-            yield frozenset(sub)
+def all_arcs(n: int) -> List[TypeBArc]:
+    """Every quotient arc on n points; n = 9 has 19,673."""
+    return list(keyed_arcs(n).arcs)
 
 
 def all_diagrams(n: int) -> List[DiagramB]:

@@ -16,17 +16,19 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import factorial
 from operator import or_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import arcs_a, arcs_b
 from .arcs_a import ArcA
 from .arcs_b import (
+    Key,
     LongArc,
     OrbifoldArc,
     OrdinaryArc,
     SymArcOrPair,
     SymmetricArc,
     TypeBArc,
+    piece_key,
 )
 from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
 from .permutations import SignedPermutation, check_signed_rank, signed_words
@@ -150,22 +152,14 @@ def is_loose_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
     return False
 
 
-def _canonical_rep(arc: TypeBArc) -> ArcA:
-    """Upper copy of an ordinary arc, right copy of a long arc."""
-    reps = arcs_b.unfold_arcs(arc)
-    if isinstance(arc, OrdinaryArc):
-        return next(a for a in reps if a.bottom > 0)
-    return next(a for a in reps if a.bottom < 0 < a.top)
-
-
 def _chain_arrow(a1: TypeBArc, a2: TypeBArc) -> bool:
     """Source and target cones lie in a three-hyperplane degree-two slice.
 
-    The target's canonical copy splits at an interior point into one copy of
+    The target's main piece splits at an interior point into one copy of
     the source and a forced partner; there is an arrow exactly when the
     partner is itself a noncrossing pair compatible with the source.
     """
-    rho = _canonical_rep(a2)
+    rho = arcs_b.main_piece(a2)
     members = arcs_b.unfold_arcs(a1)
     for m in members:
         tau = None
@@ -261,30 +255,32 @@ def _all_arcs(n: int) -> tuple:
 
 class ArcTable:
     """One arc model on n points: its arcs in a fixed order, their index, and
-    one bitmask row and column per arc.  Bit j of row i, and bit i of column
-    j, is set when relation(arcs[i], arcs[j]) holds; a row or column is
-    computed the first time it is asked for, then kept."""
+    one bitmask column and row per arc.  Column j, computed by column(j) the
+    first time it is asked for and then kept, has bit i set when arcs[i] is
+    related to arcs[j]; the rows are its transpose, all built on first use."""
 
-    def __init__(self, n: int, arcs: Sequence, relation: Callable[[object, object], bool]):
+    def __init__(self, n: int, arcs: Sequence, column: Callable[[int], int]):
         self.n = n
         self.arcs = tuple(arcs)
         self.index = {a: i for i, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
-        self.relation = relation
-        self._rows: List[Optional[int]] = [None] * len(self.arcs)
+        self.column = column
         self._cols: List[Optional[int]] = [None] * len(self.arcs)
-
-    def row(self, i: int) -> int:
-        if self._rows[i] is None:
-            a, rel = self.arcs[i], self.relation
-            self._rows[i] = sum(1 << j for j, b in enumerate(self.arcs) if rel(a, b))
-        return self._rows[i]
+        self._rows: Optional[List[int]] = None
 
     def col(self, j: int) -> int:
         if self._cols[j] is None:
-            b, rel = self.arcs[j], self.relation
-            self._cols[j] = sum(1 << i for i, a in enumerate(self.arcs) if rel(a, b))
+            self._cols[j] = self.column(j)
         return self._cols[j]
+
+    def row(self, i: int) -> int:
+        if self._rows is None:
+            rows = [0] * len(self.arcs)
+            for j in range(len(self.arcs)):
+                for k in bits(self.col(j)):
+                    rows[k] |= 1 << j
+            self._rows = rows
+        return self._rows[i]
 
     def up(self, mask: int) -> int:
         """The OR of the rows of the arcs in mask."""
@@ -303,20 +299,50 @@ class ArcTable:
         return frozenset(self.arcs[i] for i in bits(mask))
 
 
+def _subkeys(n: int, key: Key, index: Dict[Key, int]) -> Iterator[Tuple[Key, int]]:
+    """Each type-A subarc (p', q', right & span(p', q')), p <= p' < q' <= q,
+    of the arc key = (p, q, right) that index holds, with its index."""
+    p, q, right = key
+    points = [v for v in range(p, q + 1) if v]
+    for k, s in enumerate(points):
+        for t in points[k + 1:]:
+            sub = piece_key(n, s, t, right)
+            i = index.get(sub)
+            if i is not None:
+                yield sub, i
+
+
 @lru_cache(maxsize=None)
 def subarc_table(n: int) -> ArcTable:
-    return ArcTable(n, _all_arcs(n), is_subarc)
+    """The subarc order on the arcs on n points.  Column j holds the arcs
+    with an unfolded piece that is a type-A subarc of the main piece of
+    arc j (see arcs_b.KeyedArcs), except that a long arc counts only through
+    its own main piece and only under a long arc: both pieces of
+    Long(L1,R2;[],[]) are type-A subarcs of Orb(2;[]), yet it is no subarc."""
+    arcs = _all_arcs(n)
+    keyed = arcs_b.keyed_arcs(n)
+    long = [isinstance(a, LongArc) for a in arcs]
+
+    def column(j: int) -> int:
+        hits = _subkeys(n, keyed.main[j], keyed.index)
+        return reduce(or_, (1 << i for sub, i in hits if not long[i] or long[j] and sub == keyed.main[i]), 0)
+
+    return ArcTable(n, arcs, column)
 
 
 @lru_cache(maxsize=None)
 def loose_subarc_table(n: int) -> ArcTable:
-    return ArcTable(n, _all_arcs(n), is_loose_subarc)
+    arcs = _all_arcs(n)
+    return ArcTable(n, arcs, lambda j: sum(1 << i for i, a in enumerate(arcs) if is_loose_subarc(a, arcs[j])))
 
 
 @lru_cache(maxsize=None)
 def symmetric_subarc_table(n: int) -> ArcTable:
     """Plain arcs on the points -n..-1, 1..n under the type-A subarc order."""
-    return ArcTable(n, arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0]), arcs_a.is_subarc)
+    arcs = arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0])
+    keys = [(a.bottom, a.top, sum(1 << (v + n) for v in a.right)) for a in arcs]
+    index = {key: i for i, key in enumerate(keys)}
+    return ArcTable(n, arcs, lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0))
 
 
 @dataclass(frozen=True)
@@ -345,10 +371,10 @@ class ArcCongruence:
 
     @cached_property
     def contracted_keys(self) -> frozenset:
-        """The keys (see _arc_key) of the unfolded type-A arcs of the
+        """The keys (see arcs_b.piece_key) of the unfolded type-A arcs of the
         contracted arcs."""
         mask = _signed_mask(self)
-        return frozenset(key for key, i in _arc_index_of_key(self.n).items() if mask >> i & 1)
+        return frozenset(key for key, i in arcs_b.keyed_arcs(self.n).index.items() if mask >> i & 1)
 
     @classmethod
     def identity(cls, n: int) -> "ArcCongruence":
@@ -408,22 +434,6 @@ def _signed_mask(theta: ArcCongruence) -> int:
     return theta.mask
 
 
-def _arc_key(n: int, p: int, q: int, points: int) -> Tuple[int, int, int]:
-    """(bottom, top, right) of the unfolded arc from p up to q whose right
-    points are those of the bitmask points (point v at bit v + n) that lie
-    strictly between p and q."""
-    return p, q, points & (1 << (q + n)) - (1 << (p + n + 1))
-
-
-@lru_cache(maxsize=None)
-def _arc_index_of_key(n: int) -> Dict[Tuple[int, int, int], int]:
-    """Each unfolded arc's key mapped to its arc's index in subarc_table(n)."""
-    return {
-        _arc_key(n, a.bottom, a.top, sum(1 << (v + n) for v in a.right)): i
-        for i, arc in enumerate(subarc_table(n).arcs) for a in arcs_b.unfold_arcs(arc)
-    }
-
-
 def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
     """The first descent of a signed word whose arc is in keys (see
     ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
@@ -433,11 +443,11 @@ def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
     n, after, p, first = len(word), 0, word[-1], None
     for k in range(n - 2, -1, -1):
         q = word[k]
-        if q > p and _arc_key(n, p, q, after) in keys:
+        if q > p and piece_key(n, p, q, after) in keys:
             first = k
         after |= 1 << (p + n)
         p = q
-    return -1 if p < 0 and _arc_key(n, p, -p, after) in keys else first
+    return -1 if p < 0 and piece_key(n, p, -p, after) in keys else first
 
 
 def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
@@ -474,15 +484,15 @@ def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
         # after holds the points of word[1:]; free the unused absolute values.
         head, m = word[0], len(word)
         if not free:
-            if head > 0 or _arc_key(n, head, -head, after) not in keys:
+            if head > 0 or piece_key(n, head, -head, after) not in keys:
                 found.append((at, word))
             return
         points = after | 1 << (head + n)
         for i, a in enumerate(free):
             rest, at_a = free[:i] + free[i + 1:], at + (a - 1 - i) * weight[m]
-            if a < head or _arc_key(n, head, a, after) not in keys:
+            if a < head or piece_key(n, head, a, after) not in keys:
                 grow((a,) + word, points, rest, at_a)
-            if -a < head or _arc_key(n, head, -a, after) not in keys:
+            if -a < head or piece_key(n, head, -a, after) not in keys:
                 grow((-a,) + word, points, rest, at_a + (1 << m))
 
     values = list(range(1, n + 1))
@@ -505,7 +515,7 @@ class DescentTable:
     def __init__(self, n: int):
         words = list(signed_words(n))
         index = {w: i for i, w in enumerate(words)}
-        arc_of = _arc_index_of_key(n)
+        arc_of = arcs_b.keyed_arcs(n).index
         self.start, self.arc, self.lower = array("i", [0]), array("i"), array("i")
         lengths = []
         for w in words:
@@ -517,12 +527,12 @@ class DescentTable:
             for k in range(n - 2, -1, -1):
                 q = w[k]
                 if q > p:
-                    steps.append((arc_of[_arc_key(n, p, q, after)], w[:k] + (p, q) + w[k + 2:]))
+                    steps.append((arc_of[piece_key(n, p, q, after)], w[:k] + (p, q) + w[k + 2:]))
                 after |= 1 << (p + n)
                 length += (after & (1 << (q + n)) - 1).bit_count() + max(0, -q)
                 p = q
             if p < 0:
-                steps.append((arc_of[_arc_key(n, p, -p, after)], (-p,) + w[1:]))
+                steps.append((arc_of[piece_key(n, p, -p, after)], (-p,) + w[1:]))
             for a, u in reversed(steps):
                 self.arc.append(a)
                 self.lower.append(index[u])

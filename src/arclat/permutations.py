@@ -122,7 +122,8 @@ class SignedPermutation:
     word: Word
 
     def __post_init__(self):
-        if sorted(abs(v) for v in self.word) != list(range(1, len(self.word) + 1)) or 0 in self.word:
+        # 0 in word fails this too: abs(0) = 0 is not among 1..n.
+        if sorted(map(abs, self.word)) != list(range(1, len(self.word) + 1)):
             raise ValueError(f"not a signed permutation: {self.word}")
 
     @classmethod

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from arclat import arcs_a, arcs_b, lattice as lat
+from arclat import arcs_a, arcs_b, forcing, lattice as lat
 from arclat.arcs_b import (
     DiagramB,
     InvalidArc,
@@ -59,6 +59,90 @@ def test_long_arc_validity_at_rank_two():
     assert not validate_long_arc(2, 1, (1,), ())
     longs = [a for a in arcs_b.all_arcs(2) if isinstance(a, LongArc)]
     assert len(longs) == 2
+
+
+def drawable_by_objects(left_end, right_end, left, right):
+    """Reference drawability: unfold the long arc to its two type-A arcs and
+    ask arcs_a.relation whether the first lies right of the second."""
+    left, right = frozenset(left), frozenset(right)
+    if left_end == right_end or left & right:
+        return False
+    if not left <= frozenset(range(1, left_end)) or not right <= frozenset(range(1, right_end)):
+        return False
+    a, b = arcs_b._unfold_long_raw(left_end, right_end, left, right)
+    if a.top == b.top or a.bottom == b.bottom:
+        return False
+    try:
+        return arcs_a.relation(a, b) == "right"
+    except ValueError:
+        return False
+
+
+def subsets(items):
+    return [frozenset(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+def long_candidates(n):
+    """Every pair of endpoints with every pair of side sets below them."""
+    for left_end, right_end in itertools.permutations(range(1, n + 1), 2):
+        for left in subsets(range(1, left_end)):
+            for right in subsets(range(1, right_end)):
+                yield left_end, right_end, left, right
+
+
+def all_arcs_by_objects(n):
+    """Reference enumeration: every ordinary and orbifold arc, and every long
+    candidate with disjoint side sets that drawable_by_objects accepts."""
+    out = [OrdinaryArc(a.bottom, a.top, a.right) for a in arcs_a.all_arcs_n(n)]
+    out += [OrbifoldArc(top, right) for top in range(1, n + 1) for right in subsets(range(1, top))]
+    out += [LongArc(*c) for c in long_candidates(n) if not c[2] & c[3] and drawable_by_objects(*c)]
+    return sorted(out, key=arc_key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_drawability_matches_the_unfolded_relation(n):
+    drawable = 0
+    for c in long_candidates(n):
+        assert validate_long_arc(*c) == drawable_by_objects(*c), c
+        drawable += validate_long_arc(*c)
+    assert drawable == sum(isinstance(a, LongArc) for a in arcs_b.all_arcs(n))
+
+
+def test_drawability_rejects_bad_input():
+    for c in [(0, 2, (), ()), (2, 2, (), ()), (2, 3, (1,), (1,)), (2, 3, (2,), ()), (3, 2, (), (2,))]:
+        assert not validate_long_arc(*c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_arc_enumeration_matches_the_object_enumeration(n):
+    assert forcing._all_arcs(n) == tuple(all_arcs_by_objects(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_keyed_arcs_index_every_unfolded_piece(n):
+    """The key map equals the round trip through unfold_arcs, and each main
+    key is main_piece's key."""
+    def key(a):  # point v at bit v + n
+        return a.bottom, a.top, sum(1 << (v + n) for v in a.right)
+
+    keyed = arcs_b.keyed_arcs(n)
+    assert keyed.index == {key(a): i for i, arc in enumerate(keyed.arcs) for a in arcs_b.unfold_arcs(arc)}
+    assert keyed.main == tuple(key(arcs_b.main_piece(arc)) for arc in keyed.arcs)
+    for arc, main in zip(keyed.arcs, keyed.main):
+        assert arcs_b.antipode_key(n, main) == key(arcs_a.antipode(arcs_b.main_piece(arc)))
+
+
+def test_main_piece_of_a_long_arc_is_its_right_copy():
+    """The main piece lies right of its antipode; for half of the long arcs
+    at n = 5 it is not the unfolded piece with the lower bottom."""
+    longs = [a for a in arcs_b.all_arcs(5) if isinstance(a, LongArc)]
+    other = 0
+    for arc in longs:
+        main = arcs_b.main_piece(arc)
+        assert main in arcs_b.unfold_arcs(arc)
+        assert arcs_a.relation(main, arcs_a.antipode(main)) == "right"
+        other += main != arcs_b.unfold_arcs(arc)[0]
+    assert (len(longs), other) == (180, 90)
 
 
 def test_invalid_long_arc_raises():

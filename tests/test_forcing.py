@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -87,6 +88,46 @@ def test_symmetric_subarc_transitive(n):
                 assert (i, k) in rel
 
 
+def table_by_relation(arcs, relation):
+    """Reference columns and rows: one relation call per ordered pair."""
+    cols = [sum(1 << i for i, a in enumerate(arcs) if relation(a, b)) for b in arcs]
+    rows = [sum(1 << j for j, col in enumerate(cols) if col >> i & 1) for i in range(len(arcs))]
+    return cols, rows
+
+
+def assert_table_matches(table, relation):
+    m = len(table.arcs)
+    cols, rows = table_by_relation(table.arcs, relation)
+    assert [table.col(j) for j in range(m)] == cols
+    assert [table.row(i) for i in range(m)] == rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subarc_table_matches_is_subarc(n):
+    assert_table_matches(forcing.subarc_table(n), is_subarc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_subarc_table_matches_type_a_subarcs(n):
+    assert_table_matches(forcing.symmetric_subarc_table(n), arcs_a.is_subarc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_loose_subarc_table_matches_is_loose_subarc(n):
+    assert_table_matches(forcing.loose_subarc_table(n), is_loose_subarc)
+
+
+def test_long_arc_counts_only_through_its_main_piece():
+    """Both pieces of the bare long arc on 1, 2 are type-A subarcs of the
+    orbifold arc's piece, yet the long arc is no subarc of it."""
+    long, orb = LongArc(1, 2, frozenset(), frozenset()), OrbifoldArc(2, frozenset())
+    (piece,) = arcs_b.unfold_arcs(orb)
+    assert all(arcs_a.is_subarc(a, piece) for a in arcs_b.unfold_arcs(long))
+    assert not is_subarc(long, orb)
+    table = forcing.subarc_table(2)
+    assert not table.col(table.index[orb]) >> table.index[long] & 1
+
+
 def test_loose_subarc_extends_subarc():
     for n in (2, 3):
         for a, b in itertools.product(arcs_b.all_arcs(n), repeat=2):
@@ -132,6 +173,23 @@ def test_arrow_closure_is_subarc_order(n):
     for a in arcs:
         for b in arcs:
             assert (b in closure[a]) == is_subarc(a, b)
+
+
+# has_arrow's edges as (source, target) indices into _all_arcs(n): their
+# count and the SHA-256 of their repr, recorded while _chain_arrow read the
+# piece with the lower bottom of a long target rather than its main piece.
+ARROW_EDGES = {
+    2: (8, "db1d011794dac30f8e7a2f552f437b56de407c94e2c9b1da07fc90f42b85996d"),
+    3: (68, "5b08658577e6bf14a3df6fba44b6437b235540239851b92b7badf24affa289b5"),
+    4: (368, "25ebeff935669f16810a0737c09954fc54dc9f84f49b59fe2eb9735b5bf3234e"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_arrow_edges_match_the_stored_edge_sets(n):
+    arcs = forcing._all_arcs(n)
+    edges = [(i, j) for i, a in enumerate(arcs) for j, b in enumerate(arcs) if has_arrow(a, b)]
+    assert (len(edges), hashlib.sha256(repr(edges).encode()).hexdigest()) == ARROW_EDGES[n]
 
 
 def test_forces_alias():

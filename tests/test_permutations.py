@@ -182,3 +182,14 @@ def test_simple_generators_and_words():
     assert evaluate_word_b((1, 0, 1), 3) == SignedPermutation((1, -2, 3))
     assert evaluate_word_b((1, 0, 1, 2), 3) == SignedPermutation((1, 3, -2))
     assert evaluate_word_b((2, 1, 0, 1, 2), 3) == SignedPermutation((1, 2, -3))
+
+
+@pytest.mark.parametrize("word", [(0, 1), (1, 1), (1, -1), (2,), (1, 3)])
+def test_signed_permutation_rejects_words_that_are_not_signed_permutations(word):
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        SignedPermutation(word)
+
+
+def test_empty_signed_permutation_is_the_rank_zero_identity():
+    pi = SignedPermutation(())
+    assert (pi.n, pi.long_word(), pi) == (0, (), SignedPermutation.identity(0))

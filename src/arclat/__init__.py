@@ -13,7 +13,6 @@ from .lattice import (
     cjr_oracle,
     contracted_jis,
     forcing_oracle,
-    is_congruence,
     join_irreducibles,
     principal_congruence,
     quotient,

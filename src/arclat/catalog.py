@@ -4,9 +4,8 @@ partitions, and the two biCambrian families."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import arcs_b, forcing
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc
@@ -164,12 +163,35 @@ def cambrian_congruence(n: int, d: Designation) -> ArcCongruence:
 
 def _avoids(pi: SignedPermutation, order: Tuple[int, int, int], mids: frozenset) -> bool:
     """No three entries of the long word that, taken in position order and
-    rearranged by `order`, read a < b < c with b in mids."""
-    for triple in itertools.combinations(pi.long_word(), 3):
-        a, b, c = (triple[k] for k in order)
-        if a < b < c and b in mids:
+    rearranged by `order`, read a < b < c with b in mids.
+
+    A quadratic scan: the pattern puts b at position order[1] of the three,
+    and each other position holds a smaller entry (a) or a larger one (c).
+    For each entry b in mids, read the entries after it forward for the
+    positions after b's, and those before it backward for the positions
+    before b's, each position matched greedily by the first entry that
+    fits; an earliest match leaves the most room for the rest.
+    """
+    side = {order[0]: -1, order[2]: 1}
+    after = [side[k] for k in range(order[1] + 1, 3)]
+    before = [side[k] for k in range(order[1] - 1, -1, -1)]
+    word = pi.long_word()
+    for i, b in enumerate(word):
+        if b in mids and _has_run(word[i + 1:], after, b) and _has_run(word[:i][::-1], before, b):
             return False
     return True
+
+
+def _has_run(entries: Sequence[int], sides: Sequence[int], b: int) -> bool:
+    """Whether entries has a subsequence whose k-th entry is above b when
+    sides[k] is 1 and below b when it is -1."""
+    k = 0
+    for x in entries:
+        if k == len(sides):
+            break
+        if (x - b) * sides[k] > 0:
+            k += 1
+    return k == len(sides)
 
 
 def cambrian_pattern_test(pi: SignedPermutation, d: Designation) -> bool:

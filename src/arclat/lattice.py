@@ -7,9 +7,15 @@ reads only the order, never the arcs.  Elements are dense integer ids
 assigned in a linear extension, and each keeps its up-set and down-set as
 bitmasks.  As ids extend the order, a join is the lowest set bit of the
 common up-set and a meet the highest set bit of the common down-set.
-Lattices are immutable after construction; the one derived table, the
-forcing table of the congruences (see `_forcing_table`), is built on first
-use and kept on the lattice.
+Lattices are immutable after construction.  Each keeps three derived
+tables, every fact computed once:
+
+- the join-irreducibles, as the tuple `jis` in id order and the bitmask
+  `ji_mask`, found while the lattice is checked;
+- the canonical join representations (see `cjr_oracle`), memoised per
+  element on first use;
+- the forcing table of the congruences (see `_forcing_table`), built on
+  first use.
 """
 
 from __future__ import annotations
@@ -96,16 +102,28 @@ class FiniteLattice:
                 if (up[i] & down[j]) != (1 << i | 1 << j):
                     raise NotALattice(f"edge {self.labels[i]!r} -> {self.labels[j]!r} is not a cover")
 
-        # Only joins are checked: a finite poset with a bottom in which every
-        # pair has a join is a lattice, since the meet of a and b is the join
-        # of their common lower bounds (Davey-Priestley, Introduction to
-        # Lattices and Order, ch. 2).
+        self.jis = tuple(i for i in range(n) if len(self.covers_down[i]) == 1)
+        self.ji_mask = sum(1 << j for j in self.jis)
+
+        # Only joins with join-irreducibles are checked.  A finite poset with
+        # a bottom in which every pair has a join is a lattice, since the
+        # meet of a and b is the join of their common lower bounds
+        # (Davey-Priestley, Introduction to Lattices and Order, ch. 2).  And
+        # every pair has a join once every pair (a, j) with j join-irreducible
+        # has one.  Proof, by induction on b in id order, for all a at once:
+        # a v bottom = a, and a join-irreducible b is checked.  Any other b
+        # has two lower covers c1 != c2, which precede b, so c1 v c2 exists;
+        # it lies above c1, not at c1 (else c2 < c1 < b), and below b, which
+        # covers c1, so c1 v c2 = b.  The upper bounds of {a, b} are then
+        # those of {a, c1, c2}, that is of {a v c1, c2}, which have a least
+        # element because c2 precedes b.
         for a in range(n):
             ua = up[a]
-            for b in range(a + 1, n):
-                m = ua & up[b]
+            for j in self.jis:
+                m = ua & up[j]
                 if m & ~up[(m & -m).bit_length() - 1]:
-                    raise NotALattice((self.labels[a], self.labels[b]))
+                    raise NotALattice((self.labels[min(a, j)], self.labels[max(a, j)]))
+        self._cjr: dict = {}
         self._forcing: Optional[tuple] = None
 
     @staticmethod
@@ -167,11 +185,7 @@ def build_lattice(covers: Iterable[tuple], elements: Optional[Iterable[Hashable]
 
 def join_irreducibles(lat: FiniteLattice) -> tuple:
     """All elements with exactly one lower cover, paired with that cover."""
-    return tuple(
-        JoinIrreducible(i, lat.covers_down[i][0])
-        for i in range(lat.n)
-        if len(lat.covers_down[i]) == 1
-    )
+    return tuple(JoinIrreducible(j, lat.covers_down[j][0]) for j in lat.jis)
 
 
 def cjr_oracle(lat: FiniteLattice, x: int) -> Optional[frozenset]:
@@ -187,13 +201,35 @@ def cjr_oracle(lat: FiniteLattice, x: int) -> Optional[frozenset]:
     ideal(R) = I, so R = max(C & I); conversely, if max(C & I) joins to x it
     is an irredundant antichain (dropping m leaves a representation whose
     ideal misses m in I) and its ideal is I.
+
+    On bitmasks: C is ji_mask & down[x].  A join of elements of C is below
+    x iff it lies below some lower cover y of x, so z lies in I iff, for
+    some y, z lies below every c in C that is not below y: C & I is the
+    union over y of C ANDed with the down-sets of C & ~down[y].  Each
+    answer is memoised on the lattice.
     """
     if lat.n > 400:
         raise ScopeExceeded(f"cjr oracle supports at most 400 elements, got {lat.n}")
-    cands = [j.element for j in join_irreducibles(lat) if lat.leq(j.element, x)]
-    core = [z for z in cands if lat.join_all(c for c in cands if not lat.leq(z, c)) != x]
-    rep = [z for z in core if not any(w != z and lat.leq(z, w) for w in core)]
-    return frozenset(rep) if lat.join_all(rep) == x else None
+    memo = lat._cjr
+    if x not in memo:
+        down = lat.down
+        cands = lat.ji_mask & down[x]
+        core = 0
+        for y in lat.covers_down[x]:
+            m = cands
+            for c in bits(cands & ~down[y]):
+                m &= down[c]
+            core |= m
+        # max(C & I), highest id first: the highest id left is maximal.
+        rep = []
+        above = lat.up[lat.bottom]
+        while core:
+            z = core.bit_length() - 1
+            rep.append(z)
+            above &= lat.up[z]
+            core &= ~down[z]
+        memo[x] = frozenset(rep) if (above & -above).bit_length() - 1 == x else None
+    return memo[x]
 
 
 class Congruence:
@@ -256,31 +292,6 @@ def _partition(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> Optional
     return class_list, class_of
 
 
-def is_congruence(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> bool:
-    """Order-theoretic congruence test: interval classes, monotone projections."""
-    parsed = _partition(lat, classes)
-    if parsed is None:
-        return False
-    class_list, class_of = parsed
-    bots, tops = {}, {}
-    for cid, members in enumerate(class_list):
-        mask = 0
-        for m in members:
-            mask |= 1 << m
-        bot = (mask & -mask).bit_length() - 1
-        top = mask.bit_length() - 1
-        if lat.interval_mask(bot, top) != mask:
-            return False
-        bots[cid], tops[cid] = bot, top
-    for a in range(lat.n):
-        for b in lat.covers_up[a]:
-            if not lat.leq(bots[class_of[a]], bots[class_of[b]]):
-                return False
-            if not lat.leq(tops[class_of[a]], tops[class_of[b]]):
-                return False
-    return True
-
-
 def _forcing_table(lat: FiniteLattice) -> tuple:
     """The forcing table of lat: (the join-irreducibles J in id order, the
     position of each in J, one bitmask row per position), built on first
@@ -300,7 +311,7 @@ def _forcing_table(lat: FiniteLattice) -> tuple:
     needs nothing more is the theorem cited.
     """
     if lat._forcing is None:
-        js = [j for j in range(lat.n) if len(lat.covers_down[j]) == 1]
+        js = lat.jis
         pos = {j: p for p, j in enumerate(js)}
         succ = [0] * len(js)
         for m in range(lat.n):
@@ -369,23 +380,41 @@ def contracted_jis(lat: FiniteLattice, theta: Congruence) -> frozenset:
 
 
 def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
-    """Quotient lattice, realized on the bottom elements of the classes."""
+    """Quotient lattice, realized on the bottom elements of the classes.
+
+    Raises NotALattice unless the class map pi, taking x to its class, is a
+    join-homomorphism onto the quotient.  That is checked as
+    pi(a v j) = pi(a) v pi(j) for every a in L and every join-irreducible
+    j, which suffices: pi of the bottom is the quotient's bottom (nothing
+    lies below it), and for x = y v j, by induction on the number of
+    join-irreducibles whose join is x,
+    pi(a v x) = pi((a v y) v j) = pi(a) v pi(y) v pi(j) = pi(a) v pi(x).
+    Since pi fixes the class bottoms, this includes [a] v [b] = [a v b] for
+    every pair of class bottoms a and b.
+    """
     bottoms = sorted(set(theta.class_of))
     mask_all = sum(1 << b for b in bottoms)
     covers = []
     for b in bottoms:
+        # The bottoms below b, maximal first: the highest id left is maximal
+        # among those left, as ids extend the order.
         lower = lat.down[b] & mask_all & ~(1 << b)
-        maximal = [c for c in bits(lower) if not (lat.up[c] & lower & ~(1 << c))]
-        covers.extend((lat.labels[c], lat.labels[b]) for c in maximal)
+        while lower:
+            c = lower.bit_length() - 1
+            covers.append((lat.labels[c], lat.labels[b]))
+            lower &= ~lat.down[c]
     q = FiniteLattice(covers, [lat.labels[b] for b in bottoms])
-    # sanity: class joins agree with joins of bottoms ([x] v [y] = [x v y])
-    if lat.n <= 400:
-        for a in bottoms:
-            for b in bottoms:
-                lhs = q.join(q.index[lat.labels[a]], q.index[lat.labels[b]])
-                rhs = theta.class_of[lat.join(a, b)]
-                if q.labels[lhs] != lat.labels[rhs]:
-                    raise NotALattice("quotient join disagrees with class join")
+    in_q = {b: q.index[lat.labels[b]] for b in bottoms}
+    pi = [in_q[c] for c in theta.class_of]
+    up, qup = lat.up, q.up
+    ji_ups = [(up[j], qup[pi[j]]) for j in lat.jis]
+    for a in range(lat.n):
+        ua, qa = up[a], qup[pi[a]]
+        for uj, qj in ji_ups:
+            m = ua & uj
+            qm = qa & qj
+            if pi[(m & -m).bit_length() - 1] != (qm & -qm).bit_length() - 1:
+                raise NotALattice("class map is not a join-homomorphism")
     return q
 
 
@@ -397,21 +426,18 @@ def forcing_oracle(lat: FiniteLattice, j1, j2) -> bool:
 def cjr_quotient_check(lat: FiniteLattice, theta: Congruence) -> bool:
     """Contraction is detected on canonical joinands, and CJRs survive quotients."""
     q = quotient(lat, theta)
-    contracted_el = {i for i in range(lat.n) if theta.class_of[i] != i}
-    ji_contracted = {j.element for j in contracted_jis(lat, theta)}
+    in_lat = [lat.index[label] for label in q.labels]
+    contracted = {j.element for j in contracted_jis(lat, theta)}
     for x in range(lat.n):
         rep = cjr_oracle(lat, x)
         if rep is None:
             return False
-        hit = any(j in ji_contracted for j in rep)
-        if (x in contracted_el) != hit:
+        x_contracted = theta.class_of[x] != x
+        if x_contracted != any(j in contracted for j in rep):
             return False
-        if x not in contracted_el:
-            qx = q.index[lat.labels[x]]
-            qrep = cjr_oracle(q, qx)
-            if qrep is None or frozenset(q.labels[j] for j in qrep) != frozenset(
-                lat.labels[j] for j in rep
-            ):
+        if not x_contracted:
+            qrep = cjr_oracle(q, q.index[lat.labels[x]])
+            if qrep is None or frozenset(in_lat[j] for j in qrep) != rep:
                 return False
     return True
 

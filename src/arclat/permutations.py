@@ -101,6 +101,10 @@ class Permutation:
     def length(self) -> int:
         return len(self.inversions())
 
+    def inverts(self, t: Reflection) -> bool:
+        """Whether t = (a b), a < b, is an inversion: b comes before a."""
+        return self.word.index(t.b) < self.word.index(t.a)
+
     def covers_down(self) -> list:
         """Elements covered by self, each with its cover reflection."""
         out = []
@@ -150,6 +154,12 @@ class SignedPermutation:
 
     def length(self) -> int:
         return len(self.inversions())
+
+    def inverts(self, t: Reflection) -> bool:
+        """Whether t = (a b)(-a -b), a < b, is an inversion: b comes before a
+        in the long word (equivalently, -a before -b)."""
+        long = self.long_word()
+        return long.index(t.b) < long.index(t.a)
 
     def covers_down(self) -> list:
         """Elements covered by self, each with its cover reflection."""
@@ -232,16 +242,13 @@ def weak_order_lattice(cox: CoxeterType) -> FiniteLattice:
 
 def cjr_weak(w) -> frozenset:
     """Canonical joinands of w: per cover reflection t, the minimal v <= w
-    with t inverted, found by greedy descent through the interval."""
+    with t inverted, found by greedy descent through the interval, one
+    inversion test of t per lower cover tried."""
     out = []
     for _lower, t in w.covers_down():
         v = w
         while True:
-            nxt = None
-            for lower, _s in v.covers_down():
-                if t in lower.inversions():
-                    nxt = lower
-                    break
+            nxt = next((lower for lower, _s in v.covers_down() if lower.inverts(t)), None)
             if nxt is None:
                 break
             v = nxt

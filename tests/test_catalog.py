@@ -107,6 +107,28 @@ def test_cambrian_quotient_sizes(n, expect):
         assert expect == math.comb(2 * n, n)
 
 
+def avoids_by_triples(pi, order, mids):
+    """The pattern scan over every triple of entries of the long word."""
+    for triple in itertools.combinations(pi.long_word(), 3):
+        a, b, c = (triple[k] for k in order)
+        if a < b < c and b in mids:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_pattern_scan_matches_the_triple_scan(n):
+    """Every word, designation and order of the three entries, with both
+    middle-entry sets the Cambrian pattern tests use."""
+    designations = [Designation(tuple(s)) for s in itertools.product("RL", repeat=n - 1)]
+    for pi in all_signed_permutations(n):
+        for d in designations:
+            rights, lefts = d.right_points(), d.left_points()
+            for mids in (rights | {-v for v in lefts}, lefts | {-v for v in rights}):
+                for order in itertools.permutations(range(3)):
+                    assert catalog._avoids(pi, order, mids) == avoids_by_triples(pi, order, mids), (pi, order, mids)
+
+
 def test_cambrian_pattern_identity():
     d = Designation(("R", "L"))
     assert cambrian_pattern_test(SignedPermutation((1, 2, 3)), d)

@@ -29,6 +29,7 @@ from arclat.permutations import (
     unfold,
     weak_order_lattice,
 )
+from test_lattice import is_congruence
 
 
 def test_subarc_reflexive():
@@ -308,7 +309,7 @@ def test_partitions_are_congruences(n):
         thetas = thetas[:: max(1, len(thetas) // 40)]
     for theta in thetas:
         classes = [[W.index[pi] for pi in c] for c in forcing.element_partition(theta)]
-        assert lat.is_congruence(W, classes)
+        assert is_congruence(W, classes)
 
 
 def lattice_contracted_arcs(n):

@@ -14,7 +14,6 @@ from arclat.lattice import (
     cjr_oracle,
     contracted_jis,
     forcing_oracle,
-    is_congruence,
     join_irreducibles,
     principal_congruence,
     quotient,
@@ -153,6 +152,31 @@ def test_lattice_imports_only_util_from_arclat():
         elif isinstance(node, ast.Import):
             found.extend(a.name for a in node.names if a.name.startswith("arclat"))
     assert set(found) <= {".util", "arclat.util"}, found
+
+
+def is_congruence(L, classes):
+    """Order-theoretic congruence test: interval classes, monotone projections."""
+    parsed = lat._partition(L, classes)
+    if parsed is None:
+        return False
+    class_list, class_of = parsed
+    bots, tops = {}, {}
+    for cid, members in enumerate(class_list):
+        mask = 0
+        for m in members:
+            mask |= 1 << m
+        bot = (mask & -mask).bit_length() - 1
+        top = mask.bit_length() - 1
+        if L.interval_mask(bot, top) != mask:
+            return False
+        bots[cid], tops[cid] = bot, top
+    for a in range(L.n):
+        for b in L.covers_up[a]:
+            if not L.leq(bots[class_of[a]], bots[class_of[b]]):
+                return False
+            if not L.leq(tops[class_of[a]], tops[class_of[b]]):
+                return False
+    return True
 
 
 def is_congruence_algebraic(L, classes):
@@ -573,3 +597,104 @@ def test_forcing_oracle_rejects_non_join_irreducibles():
         forcing_oracle(L, L.index["a"], L.top)
     with pytest.raises(ValueError):
         lat.congruence_generated_by(L, [L.bottom])
+
+
+def joins_exist_by_all_pairs(up):
+    """The join check over every pair, as FiniteLattice ran it before it
+    checked only pairs with a join-irreducible.  up[i] is the up-set bitmask
+    of i, with ids in a linear extension, so a pair's join, if any, is the
+    lowest id among its upper bounds."""
+    for a in range(len(up)):
+        for b in range(a + 1, len(up)):
+            m = up[a] & up[b]
+            if m & ~up[(m & -m).bit_length() - 1]:
+                return False
+    return True
+
+
+def random_bounded_poset(rng, inner, density):
+    """Cover pairs and up-set bitmasks of a random bounded poset on
+    0..inner+1: 0 is the bottom, inner + 1 the top, and each i < j among
+    the others is drawn with probability density (then closed under
+    transitivity), so ids are a linear extension."""
+    m = inner + 2
+    up = [1 << i for i in range(m)]
+    for i in range(m - 1, -1, -1):
+        for j in range(i + 1, m):
+            if i == 0 or j == m - 1 or rng.random() < density:
+                up[i] |= up[j]
+    covers = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if up[i] >> j & 1 and not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(i + 1, j))
+    ]
+    return covers, up
+
+
+def test_join_check_over_join_irreducibles_matches_all_pairs():
+    """On seeded random bounded posets, lattices and non-lattices alike,
+    FiniteLattice accepts exactly when every pair has a join."""
+    rng = random.Random(12)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        covers, up = random_bounded_poset(rng, rng.randint(4, 10), rng.choice((0.3, 0.45)))
+        expect = joins_exist_by_all_pairs(up)
+        try:
+            build_lattice(covers, range(len(up)))
+        except NotALattice:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expect, covers
+        verdicts[expect] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def test_join_check_reads_every_element_against_each_join_irreducible():
+    """Every two atoms have a join (x, y or a g below both e and f), and
+    the atoms are the only join-irreducibles, yet x and y have two minimal
+    upper bounds e and f.  Only a pair (a, j) with a not join-irreducible,
+    such as (x, r), shows it."""
+    atoms = "pqrs"
+    joins = {"x": "pq", "y": "rs", "gpr": "pr", "gps": "ps", "gqr": "qr", "gqs": "qs"}
+    covers = [("0", a) for a in atoms]
+    covers += [(a, g) for g, pair in joins.items() for a in pair]
+    covers += [(g, t) for g in joins for t in "ef"]
+    covers += [("e", "1"), ("f", "1")]
+    with pytest.raises(NotALattice):
+        build_lattice(covers)
+
+
+def test_join_irreducibles_are_kept_on_the_lattice():
+    for L in [f() for f in LATTICES.values()] + list(random_meet_closed_lattices()[:50]):
+        expect = [i for i in L.elements() if len(L.covers_down[i]) == 1]
+        assert list(L.jis) == expect
+        assert L.ji_mask == sum(1 << j for j in expect)
+        assert [j.element for j in join_irreducibles(L)] == expect
+
+
+def test_quotient_rejects_a_class_map_that_is_not_a_homomorphism():
+    """Merging the two atoms of the hexagon: the class bottoms form a
+    lattice (N5) in which each pair joins as in the hexagon, but the other
+    atom joins the merged class's bottom to the top, and the class map
+    sends that join to the merged class."""
+    L = build_lattice(hexagon_covers())
+    atoms = [i for i in L.elements() if L.covers_down[i] == [L.bottom]]
+    theta = Congruence.from_classes(L, [atoms] + [[i] for i in L.elements() if i not in atoms])
+    with pytest.raises(NotALattice):
+        quotient(L, theta)
+
+
+def test_cjr_oracle_memo_returns_what_a_fresh_lattice_computes():
+    for name in ("B3", "A4", "N5"):
+        L = LATTICES[name]()
+        first = [cjr_oracle(L, x) for x in L.elements()]
+        assert [cjr_oracle(L, x) for x in L.elements()] == first
+        assert all(L._cjr[x] is first[x] for x in L.elements())
+        fresh = build_lattice([(L.labels[a], L.labels[b]) for a, b in L.covers()], L.labels)
+        assert fresh._cjr == {}
+        for x in L.elements():
+            got = cjr_oracle(fresh, fresh.index[L.labels[x]])
+            as_labels = None if got is None else {fresh.labels[j] for j in got}
+            assert as_labels == (None if first[x] is None else {L.labels[j] for j in first[x]})

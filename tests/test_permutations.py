@@ -105,6 +105,40 @@ def test_cjr_weak_matches_oracle(family, n):
         assert greedy == oracle
 
 
+def cjr_weak_by_inversion_sets(w):
+    """The greedy descent as first written: each step tests the cover
+    reflection t against the whole inversion set of a lower cover."""
+    out = []
+    for _lower, t in w.covers_down():
+        v = w
+        while True:
+            nxt = None
+            for lower, _s in v.covers_down():
+                if t in lower.inversions():
+                    nxt = lower
+                    break
+            if nxt is None:
+                break
+            v = nxt
+        out.append(v)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("family,n", [("A", 4), ("B", 3)])
+def test_cjr_weak_matches_the_inversion_set_descent(family, n):
+    W = weak_order_lattice(CoxeterType(family, n))
+    for w in W.labels:
+        assert cjr_weak(w) == cjr_weak_by_inversion_sets(w), w
+
+
+@pytest.mark.parametrize("family,n", [("A", 4), ("B", 3)])
+def test_inverts_matches_the_inversion_set(family, n):
+    W = weak_order_lattice(CoxeterType(family, n))
+    reflections = W.labels[W.top].inversions()
+    for w in W.labels:
+        assert {t for t in reflections if w.inverts(t)} == w.inversions(), w
+
+
 def test_w0_conjugate_formula_and_group():
     ident = Permutation((1, 2, 3, 4))
     assert w0_conjugate(ident) == ident

@@ -5,6 +5,7 @@ partitions, and the two biCambrian families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import arcs_b, forcing
@@ -194,16 +195,25 @@ def _has_run(entries: Sequence[int], sides: Sequence[int], b: int) -> bool:
     return k == len(sides)
 
 
+@lru_cache(maxsize=None)
+def _pattern_mids(d: Designation) -> Tuple[frozenset, frozenset]:
+    """The entries b allowed in the middle of each pattern below, built once
+    per designation: the right points and negated left points, and the left
+    points and negated right points."""
+    rights, lefts = d.right_points(), d.left_points()
+    return rights | frozenset(-v for v in lefts), lefts | frozenset(-v for v in rights)
+
+
 def cambrian_pattern_test(pi: SignedPermutation, d: Designation) -> bool:
     """No b..c..a in the long word with a < b < c and b a right point or the
     negative of a left point."""
-    return _avoids(pi, (2, 0, 1), d.right_points() | frozenset(-v for v in d.left_points()))
+    return _avoids(pi, (2, 0, 1), _pattern_mids(d)[0])
 
 
 def cambrian_pattern_test_312(pi: SignedPermutation, d: Designation) -> bool:
     """Equivalent criterion: no c..a..b with a < b < c and b a left point or
     the negative of a right point."""
-    return _avoids(pi, (1, 2, 0), d.left_points() | frozenset(-v for v in d.right_points()))
+    return _avoids(pi, (1, 2, 0), _pattern_mids(d)[1])
 
 
 def cambrian_meet_rep(n: int, d: Designation) -> Tuple[TypeBArc, ...]:

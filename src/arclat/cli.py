@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(--n below 1 included), 3 an invalid or unknown object, or a scope the
+(--n below 1 included), 3 an invalid or unknown object (a JSON number
+that is not an integer included, never truncated), or a scope the
 library refuses: quotient elements n >= 7 and --hasse n >= 5 (both before
 the congruence is built), congruences and arrows n >= 8, arcs n >= 10
 (type a n >= 17), diagrams n >= 6, shards beyond A4/B3, weak orders

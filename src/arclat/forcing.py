@@ -255,18 +255,19 @@ def _all_arcs(n: int) -> tuple:
 
 class ArcTable:
     """One arc model on n points: its arcs in a fixed order, their index, and
-    one bitmask column and row per arc.  Column j, computed by column(j) the
-    first time it is asked for and then kept, has bit i set when arcs[i] is
-    related to arcs[j]; the rows are its transpose, all built on first use."""
+    one bitmask column and row per arc.  Column j has bit i set when arcs[i]
+    is related to arcs[j], and row i is the transpose: bit j set for the
+    same pairs.  Each is computed by column(j) or row(i) the first time it
+    is asked for and then kept, so a row costs no column."""
 
-    def __init__(self, n: int, arcs: Sequence, column: Callable[[int], int]):
+    def __init__(self, n: int, arcs: Sequence, column: Callable[[int], int], row: Callable[[int], int]):
         self.n = n
         self.arcs = tuple(arcs)
         self.index = {a: i for i, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
-        self.column = column
+        self.column, self.row_of = column, row
         self._cols: List[Optional[int]] = [None] * len(self.arcs)
-        self._rows: Optional[List[int]] = None
+        self._rows: List[Optional[int]] = [None] * len(self.arcs)
 
     def col(self, j: int) -> int:
         if self._cols[j] is None:
@@ -274,12 +275,8 @@ class ArcTable:
         return self._cols[j]
 
     def row(self, i: int) -> int:
-        if self._rows is None:
-            rows = [0] * len(self.arcs)
-            for j in range(len(self.arcs)):
-                for k in bits(self.col(j)):
-                    rows[k] |= 1 << j
-            self._rows = rows
+        if self._rows[i] is None:
+            self._rows[i] = self.row_of(i)
         return self._rows[i]
 
     def up(self, mask: int) -> int:
@@ -312,28 +309,56 @@ def _subkeys(n: int, key: Key, index: Dict[Key, int]) -> Iterator[Tuple[Key, int
                 yield sub, i
 
 
+def _superkeys(n: int, subs: Iterable[Key], mains: Sequence[Tuple[int, int, int, int]]) -> int:
+    """The bitmask of the j, over the entries (j, p, q, right) of mains, whose
+    arc key (p, q, right) has one of subs as a type-A subarc: some
+    (p', q', right & span(p', q')) with p <= p' < q' <= q."""
+    out = 0
+    for s, t, sub_right in subs:
+        span = (1 << (t + n)) - (1 << (s + n + 1))
+        for j, p, q, right in mains:
+            if p <= s and t <= q and right & span == sub_right:
+                out |= 1 << j
+    return out
+
+
 @lru_cache(maxsize=None)
 def subarc_table(n: int) -> ArcTable:
     """The subarc order on the arcs on n points.  Column j holds the arcs
     with an unfolded piece that is a type-A subarc of the main piece of
     arc j (see arcs_b.KeyedArcs), except that a long arc counts only through
     its own main piece and only under a long arc: both pieces of
-    Long(L1,R2;[],[]) are type-A subarcs of Orb(2;[]), yet it is no subarc."""
+    Long(L1,R2;[],[]) are type-A subarcs of Orb(2;[]), yet it is no subarc.
+    Row i tests the pieces of arc i against every main piece under the same
+    rule."""
     arcs = _all_arcs(n)
     keyed = arcs_b.keyed_arcs(n)
     long = [isinstance(a, LongArc) for a in arcs]
+    pieces: List[List[Key]] = [[] for _ in arcs]
+    for key, i in keyed.index.items():
+        pieces[i].append(key)
+    mains = [(j,) + key for j, key in enumerate(keyed.main)]
+    long_mains = [m for m in mains if long[m[0]]]
 
     def column(j: int) -> int:
         hits = _subkeys(n, keyed.main[j], keyed.index)
         return reduce(or_, (1 << i for sub, i in hits if not long[i] or long[j] and sub == keyed.main[i]), 0)
 
-    return ArcTable(n, arcs, column)
+    def row(i: int) -> int:
+        return _superkeys(n, [keyed.main[i]], long_mains) if long[i] else _superkeys(n, pieces[i], mains)
+
+    return ArcTable(n, arcs, column, row)
 
 
 @lru_cache(maxsize=None)
 def loose_subarc_table(n: int) -> ArcTable:
     arcs = _all_arcs(n)
-    return ArcTable(n, arcs, lambda j: sum(1 << i for i, a in enumerate(arcs) if is_loose_subarc(a, arcs[j])))
+    return ArcTable(
+        n,
+        arcs,
+        lambda j: sum(1 << i for i, a in enumerate(arcs) if is_loose_subarc(a, arcs[j])),
+        lambda i: sum(1 << j for j, b in enumerate(arcs) if is_loose_subarc(arcs[i], b)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +367,13 @@ def symmetric_subarc_table(n: int) -> ArcTable:
     arcs = arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0])
     keys = [(a.bottom, a.top, sum(1 << (v + n) for v in a.right)) for a in arcs]
     index = {key: i for i, key in enumerate(keys)}
-    return ArcTable(n, arcs, lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0))
+    mains = [(j,) + key for j, key in enumerate(keys)]
+    return ArcTable(
+        n,
+        arcs,
+        lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0),
+        lambda i: _superkeys(n, [keys[i]], mains),
+    )
 
 
 @dataclass(frozen=True)
@@ -467,7 +498,9 @@ def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
 
 def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
     """Class bottoms: elements none of whose descent arcs is contracted, in
-    the order of signed_words.
+    the order of signed_words.  The list is new on every call; its elements
+    are the shared ones of _signed_store(n), each built the first time any
+    caller asks for it, so memory follows the output.
 
     Words are built right to left, and a suffix is dropped at its first
     contracted descent, since every word ending in it has that descent; the
@@ -475,33 +508,50 @@ def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
     its index in signed_words: the Lehmer digit of the absolute values times
     m! 2^n, plus 2^m for a negative entry, with m entries to its right.
     """
-    check_signed_rank(theta.n)
-    n, keys = theta.n, theta.contracted_keys
+    n = theta.n
+    store = _signed_store(n)
     weight = [factorial(m) << n for m in range(n)]
+    # ends[p + n][q + n]: the span of (p, q) and the right-point masks of the
+    # contracted arcs from p up to q; row 2n + 1 is the empty word's head.
+    ends = [[(arcs_b.span(n, p, q), set()) for q in range(-n, n + 1)] for p in range(-n, n + 2)]
+    for p, q, right in theta.contracted_keys:
+        ends[p + n][q + n][1].add(right)
     found: List[Tuple[int, Tuple[int, ...]]] = []
 
-    def grow(word: Tuple[int, ...], after: int, free: List[int], at: int) -> None:
-        # after holds the points of word[1:]; free the unused absolute values.
-        head, m = word[0], len(word)
-        if not free:
-            if head > 0 or piece_key(n, head, -head, after) not in keys:
-                found.append((at, word))
-            return
-        points = after | 1 << (head + n)
+    def grow(word: Tuple[int, ...], points: int, free: List[int], at: int) -> None:
+        # points holds the entries of word, free the unused absolute values.
+        head, m = word[0] if word else n + 1, len(word)
+        row = ends[head + n]
         for i, a in enumerate(free):
             rest, at_a = free[:i] + free[i + 1:], at + (a - 1 - i) * weight[m]
-            if a < head or piece_key(n, head, a, after) not in keys:
-                grow((a,) + word, points, rest, at_a)
-            if -a < head or piece_key(n, head, -a, after) not in keys:
-                grow((-a,) + word, points, rest, at_a + (1 << m))
+            for b, at_b in ((a, at_a), (-a, at_a + (1 << m))):
+                if b > head and points & row[b + n][0] in row[b + n][1]:
+                    continue
+                if rest:
+                    grow((b,) + word, points | 1 << (b + n), rest, at_b)
+                elif b > 0 or points & ends[b + n][n - b][0] not in ends[b + n][n - b][1]:
+                    found.append((at_b, (b,) + word))
 
-    values = list(range(1, n + 1))
-    for i, a in enumerate(values):
-        rest = values[:i] + values[i + 1:]
-        grow((a,), 0, rest, (a - 1 - i) * weight[0])
-        grow((-a,), 0, rest, (a - 1 - i) * weight[0] + 1)
+    grow((), 0, list(range(1, n + 1)), 0)
     found.sort()
-    return [SignedPermutation(w) for _at, w in found]
+    out = []
+    for at, w in found:
+        pi = store[at]
+        if pi is None:
+            pi = store[at] = SignedPermutation(w)
+        out.append(pi)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _signed_store(n: int) -> List[Optional[SignedPermutation]]:
+    """One slot per signed permutation of rank n, in the order of
+    signed_words, each None until its element is first built; created on
+    first use and refused past check_signed_rank before it is allocated.
+    descent_table(n) holds the same list.  The elements are frozen, so
+    every caller may share them."""
+    check_signed_rank(n)
+    return [None] * (factorial(n) << n)
 
 
 class DescentTable:
@@ -510,15 +560,20 @@ class DescentTable:
     position, are entries start[i] to start[i + 1] - 1 of arc (the index of
     the descent's arc in subarc_table(n).arcs) and lower (the index of the
     word one step down).  order lists the words by length, a linear
-    extension of the weak order."""
+    extension of the weak order.  elements is _signed_store(n), every slot
+    filled: the table shares it with quotient_elements, and its size is
+    that of the whole group, as the arrays' are."""
 
     def __init__(self, n: int):
         words = list(signed_words(n))
+        self.elements = store = _signed_store(n)
         index = {w: i for i, w in enumerate(words)}
         arc_of = arcs_b.keyed_arcs(n).index
         self.start, self.arc, self.lower = array("i", [0]), array("i"), array("i")
         lengths = []
-        for w in words:
+        for i, w in enumerate(words):
+            if store[i] is None:
+                store[i] = SignedPermutation(w)
             # Right to left; after holds the points of w[k + 2:], then of
             # w[k + 1:].  The length is the inversions plus the negated
             # negative entries.
@@ -549,7 +604,9 @@ def descent_table(n: int) -> DescentTable:
 
 def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
     """Congruence classes as fibers of the projection map, each in the order
-    of signed_words, ordered by their first members.
+    of signed_words, ordered by their first members.  The lists are new on
+    every call; their elements are the descent table's shared ones, the
+    whole group, built once per rank.
 
     A word is its class bottom when none of its descent arcs is contracted;
     otherwise it shares the bottom of the word below its first contracted
@@ -564,8 +621,8 @@ def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
                 bottom[i] = bottom[lower[j]]
                 break
     fibers: Dict[int, List[SignedPermutation]] = {b: [] for b in bottom}
-    for b, w in zip(bottom, signed_words(theta.n)):
-        fibers[b].append(SignedPermutation(w))
+    for b, pi in zip(bottom, table.elements):
+        fibers[b].append(pi)
     return list(fibers.values())
 
 

@@ -77,7 +77,7 @@ def _word_inversion_pairs(word: Word) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1..n} in one-line notation."""
 
@@ -119,7 +119,7 @@ class Permutation:
         return "Permutation(" + "".join(str(v) for v in self.word) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """A signed permutation in short one-line notation."""
 

@@ -15,6 +15,18 @@ from .forcing import ArcCongruence
 from .permutations import Permutation, SignedPermutation
 
 
+def _int(value) -> int:
+    """A JSON integer; a float, a bool, a string or anything else is refused
+    rather than converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r:.40}")
+    return value
+
+
+def _ints(values: Iterable) -> frozenset:
+    return frozenset(map(_int, values))
+
+
 def arc_a_to_json(arc: ArcA) -> dict:
     return {
         "kind": "ordinary",
@@ -27,7 +39,7 @@ def arc_a_to_json(arc: ArcA) -> dict:
 def arc_a_from_json(data: dict) -> ArcA:
     if (data["kind"] if "kind" in data else "ordinary") != "ordinary":
         raise ValueError("plain arcs must have kind 'ordinary'")
-    return arcs_a.make_arc(int(data["bottom"]), int(data["top"]), [int(v) for v in data["right"]])
+    return arcs_a.make_arc(_int(data["bottom"]), _int(data["top"]), [_int(v) for v in data["right"]])
 
 
 def arc_b_to_json(arc: TypeBArc) -> dict:
@@ -52,17 +64,11 @@ def arc_b_to_json(arc: TypeBArc) -> dict:
 def arc_b_from_json(data: dict) -> TypeBArc:
     kind = data["kind"]
     if kind == "ordinary":
-        p, q = int(data["bottom"]), int(data["top"])
-        return OrdinaryArc(p, q, frozenset(int(v) for v in data["right"]))
+        return OrdinaryArc(_int(data["bottom"]), _int(data["top"]), _ints(data["right"]))
     if kind == "orbifold":
-        return OrbifoldArc(int(data["top"]), frozenset(int(v) for v in data["right"]))
+        return OrbifoldArc(_int(data["top"]), _ints(data["right"]))
     if kind == "long":
-        return LongArc(
-            int(data["left"]),
-            int(data["right_ep"]),
-            frozenset(int(v) for v in data["L"]),
-            frozenset(int(v) for v in data["R"]),
-        )
+        return LongArc(_int(data["left"]), _int(data["right_ep"]), _ints(data["L"]), _ints(data["R"]))
     raise ValueError(f"unknown arc kind {kind!r}")
 
 
@@ -74,7 +80,7 @@ def diagram_a_to_json(diagram: DiagramA) -> dict:
 
 
 def diagram_a_from_json(data: dict) -> DiagramA:
-    n = int(data["n"])
+    n = _int(data["n"])
     return DiagramA(
         frozenset(range(1, n + 1)),
         frozenset(arc_a_from_json(a) for a in data["arcs"]),
@@ -89,7 +95,7 @@ def diagram_b_to_json(diagram: DiagramB) -> dict:
 
 
 def diagram_b_from_json(data: dict) -> DiagramB:
-    n = int(data["n"])
+    n = _int(data["n"])
     if n < 1:
         raise ValueError(f"a diagram needs at least one point, got n = {n}")
     return DiagramB(n, frozenset(arc_b_from_json(a) for a in data["arcs"]))
@@ -106,7 +112,7 @@ def congruence_to_json(theta: ArcCongruence) -> dict:
 
 def congruence_from_json(data: dict) -> ArcCongruence:
     return ArcCongruence(
-        int(data["n"]), frozenset(arc_b_from_json(a) for a in data["contracted"])
+        _int(data["n"]), frozenset(arc_b_from_json(a) for a in data["contracted"])
     )
 
 
@@ -134,12 +140,9 @@ def ncp_from_json(data: dict) -> NCPartitionB:
     for entry in data["blocks"]:
         pieces = None
         if "pieces" in entry:
-            pieces = (
-                frozenset(int(v) for v in entry["pieces"][0]),
-                frozenset(int(v) for v in entry["pieces"][1]),
-            )
-        blocks.append(NCBlock(frozenset(int(v) for v in entry["points"]), entry["kind"], pieces))
-    return NCPartitionB(int(data["n"]), tuple(blocks))
+            pieces = (_ints(entry["pieces"][0]), _ints(entry["pieces"][1]))
+        blocks.append(NCBlock(_ints(entry["points"]), entry["kind"], pieces))
+    return NCPartitionB(_int(data["n"]), tuple(blocks))
 
 
 def permutation_to_json(pi) -> list:
@@ -147,7 +150,7 @@ def permutation_to_json(pi) -> list:
 
 
 def permutation_from_json(data: Iterable, signed: bool):
-    word = tuple(int(v) for v in data)
+    word = tuple(map(_int, data))
     if not word:
         raise ValueError("a permutation needs at least one entry")
     return SignedPermutation(word) if signed else Permutation(word)

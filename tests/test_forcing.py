@@ -118,6 +118,21 @@ def test_loose_subarc_table_matches_is_loose_subarc(n):
     assert_table_matches(forcing.loose_subarc_table(n), is_loose_subarc)
 
 
+@pytest.mark.parametrize(
+    "build,relation",
+    [
+        (functools.partial(forcing.subarc_table.__wrapped__, 4), is_subarc),
+        (functools.partial(forcing.symmetric_subarc_table.__wrapped__, 3), arcs_a.is_subarc),
+        (functools.partial(forcing.loose_subarc_table.__wrapped__, 3), is_loose_subarc),
+    ],
+)
+def test_rows_are_computed_without_columns(build, relation):
+    table = build()
+    _cols, rows = table_by_relation(table.arcs, relation)
+    assert [table.row(i) for i in range(len(table.arcs))] == rows
+    assert table._cols == [None] * len(table.arcs)
+
+
 def test_long_arc_counts_only_through_its_main_piece():
     """Both pieces of the bare long arc on 1, 2 are type-A subarcs of the
     orbifold arc's piece, yet the long arc is no subarc of it."""
@@ -601,6 +616,62 @@ def test_signed_quotients_refuse_symmetric_congruences():
     for work in (forcing.quotient_elements, forcing.element_partition):
         with pytest.raises(TypeError):
             work(theta)
+
+
+@pytest.fixture
+def fresh_store():
+    """Empty element stores; the descent tables, which hold them, go too."""
+    forcing._signed_store.cache_clear()
+    forcing.descent_table.cache_clear()
+    yield
+    forcing._signed_store.cache_clear()
+    forcing.descent_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quotient_paths_share_one_element_per_word(n, fresh_store):
+    """Quotient elements first, so that the descent table finds some slots
+    filled and keeps them; every list is new, every element shared."""
+    thetas = [catalog.cambrian_congruence(n, catalog.Designation(tuple("RL" * n)[: n - 1])),
+              catalog.parabolic_congruence(n, [1]), ArcCongruence.identity(n)]
+    for theta in thetas:
+        elements = forcing.quotient_elements(theta)
+        again = forcing.quotient_elements(theta)
+        assert again is not elements and all(a is b for a, b in zip(again, elements))
+        classes = forcing.element_partition(theta)
+        assert forcing.element_partition(theta) is not classes
+        by_word = {pi.word: pi for c in classes for pi in c}
+        assert len(by_word) == 2**n * math.factorial(n)
+        assert all(by_word[pi.word] is pi for pi in elements)
+        assert all(by_word[w] is pi for w, pi in zip(signed_words(n), forcing.descent_table(n).elements))
+
+
+def test_store_fills_only_the_slots_of_the_output(fresh_store):
+    theta = catalog.cambrian_congruence(6, catalog.Designation(tuple("RLRLR")))
+    elements = forcing.quotient_elements(theta)
+    store = forcing._signed_store(6)
+    assert len(store) == 46080
+    assert sum(pi is not None for pi in store) == len(elements) == 924
+    words = list(signed_words(6))
+    assert all(store[i].word == w for i, w in enumerate(words) if store[i] is not None)
+
+
+def test_store_refuses_rank_seven_before_allocating():
+    import tracemalloc
+
+    theta = ArcCongruence.identity(7)
+    theta.contracted_keys
+    stored = forcing._signed_store.cache_info().currsize
+    tracemalloc.start()
+    try:
+        for work in (lambda: forcing._signed_store(7), lambda: forcing.quotient_elements(theta)):
+            with pytest.raises(lat.ScopeExceeded):
+                work()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the 645,120 slots would take 5 MB
+    assert forcing._signed_store.cache_info().currsize == stored
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

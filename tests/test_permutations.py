@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -222,6 +223,16 @@ def test_simple_generators_and_words():
 def test_signed_permutation_rejects_words_that_are_not_signed_permutations(word):
     with pytest.raises(ValueError, match="not a signed permutation"):
         SignedPermutation(word)
+
+
+@pytest.mark.parametrize("cls,word", [(SignedPermutation, (2, -1, 3)), (Permutation, (2, 1, 3))])
+def test_permutations_are_slotted_frozen_values(cls, word):
+    pi = cls(word)
+    assert cls.__slots__ == ("word",) and not hasattr(pi, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pi.word = word
+    assert pi == cls(word) and hash(pi) == hash(cls(word)) and pi != cls(tuple(sorted(map(abs, word))))
+    assert repr(pi) == cls.__name__ + "(" + ("," if cls is SignedPermutation else "").join(map(str, word)) + ")"
 
 
 def test_empty_signed_permutation_is_the_rank_zero_identity():

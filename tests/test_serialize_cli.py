@@ -46,6 +46,10 @@ def test_designation_and_ncp_roundtrip():
     for pi in forcing.quotient_elements(theta):
         part = catalog.ncp_of_diagram(arcs_b.diagram_of_signed(pi), d)
         assert serialize.ncp_from_json(serialize.ncp_to_json(part)) == part
+    data = serialize.ncp_to_json(part)
+    data["blocks"][0]["points"][0] += 0.5
+    with pytest.raises(ValueError, match="expected an integer"):
+        serialize.ncp_from_json(data)
 
 
 def test_map_subcommand_b():
@@ -234,6 +238,19 @@ ERROR_CONTRACT = [
         ],
         3,
     ),
+    # Numbers that are not JSON integers are refused, not truncated.
+    (["map", "--type", "b", "--perm", "[2.7,-1.2]"], 3),
+    (["map", "--type", "b", "--perm", "[1.5, 2]"], 3),
+    (["map", "--type", "a", "--perm", "[2.0, 1]"], 3),
+    (["map", "--type", "b", "--perm", "[true]"], 3),
+    (["map", "--type", "b", "--perm", '["2","1"]'], 3),
+    (["map", "--type", "b", "--diagram", '{"n":2.5,"arcs":[]}'], 3),
+    (["map", "--type", "a", "--diagram", '{"n":2.5,"arcs":[]}'], 3),
+    (["render", "--diagram", '{"n":true,"arcs":[]}'], 3),
+    (["forcing", '{"kind":"orbifold","top":1.0,"right":[]}', '{"kind":"orbifold","top":2,"right":[]}'], 3),
+    (["forcing", '{"kind":"ordinary","bottom":1,"top":3,"right":[2.0]}', '{"kind":"orbifold","top":3,"right":[]}'], 3),
+    (["forcing", '{"kind":"long","left":1,"right_ep":"2","L":[],"R":[]}', '{"kind":"orbifold","top":3,"right":[]}'], 3),
+    (["quotient", "--congruence", '{"n":2.0,"contracted":[]}', "--n", "2", "--count"], 3),
 ]
 
 # One rank just past each scope guard (and an out-of-range generator): each

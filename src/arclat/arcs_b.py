@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 from . import arcs_a
 from .arcs_a import ArcA, DiagramA
 from .lattice import InvariantError, ScopeExceeded
-from .permutations import SignedPermutation, fold, unfold
+from .permutations import SignedPermutation, fold, is_join_irreducible_signed
 from .util import between, bits
 
 Word = Tuple[int, ...]
@@ -345,71 +345,44 @@ def _fold_pair_from_right_arc(a: ArcA) -> TypeBArc:
 
 
 def signed_descent_arcs(pi: SignedPermutation) -> List[Tuple[object, TypeBArc]]:
-    """One quotient arc per cover of pi, keyed by "center" or the short
-    descent position (0-based)."""
-    word = unfold(pi)
-    n = pi.n
-    pos_arcs = dict(arcs_a.descent_arcs(word))
+    """One quotient arc per lower cover of pi, keyed by "center" or the
+    short descent position k (0-based), the centre first.  Each is read off
+    the short word w, where u > 0 appears when the entry u, not -u, is in w:
+    - the centre, w[0] < 0: Orb(-w[0]), right of the u < -w[0] that appear;
+    - a descent a = w[k] > b = w[k + 1] > 0: Ord(b, a), right of the u
+      between b and a that appear after position k + 1;
+    - a descent 0 > a > b: Ord(-a, -b), right of the u between -a and -b
+      that appear, or whose -u comes before position k;
+    - a descent a > 0 > b: Long(L-b, Ra), right of the u < a that appear
+      after position k + 1 and left of the u < -b whose -u comes after it.
+    """
+    w = pi.word
+    at = {v: i for i, v in enumerate(w)}
     out: List[Tuple[object, TypeBArc]] = []
-    if pi.word[0] < 0:
-        center = pos_arcs[n - 1]  # descent across the middle
-        out.append(("center", fold_phi(SymmetricArc(center.top, center.right))))
-    for k in range(n - 1):
-        if pi.word[k] > pi.word[k + 1]:
-            a = pos_arcs[n + k]
-            if a.bottom > 0 or a.top < 0:
-                pos = a if a.bottom > 0 else arcs_a.antipode(a)
-                out.append((k, OrdinaryArc(pos.bottom, pos.top, pos.right)))
-            else:
-                out.append((k, _fold_pair_from_right_arc(a)))
+    if w[0] < 0:
+        out.append(("center", OrbifoldArc(-w[0], frozenset(u for u in range(1, -w[0]) if u in at))))
+    for k in range(len(w) - 1):
+        a, b = w[k], w[k + 1]
+        if a < b:
+            continue
+        if b > 0:
+            arc = OrdinaryArc(b, a, frozenset(u for u in range(b + 1, a) if at.get(u, -1) > k + 1))
+        elif a < 0:
+            arc = OrdinaryArc(-a, -b, frozenset(u for u in range(1 - a, -b) if u in at or at[-u] < k))
+        else:
+            arc = LongArc(
+                -b,
+                a,
+                frozenset(u for u in range(1, -b) if at.get(-u, -1) > k + 1),
+                frozenset(u for u in range(1, a) if at.get(u, -1) > k + 1),
+            )
+        out.append((k, arc))
     return out
 
 
 def diagram_of_signed(pi: SignedPermutation) -> DiagramB:
     """The quotient noncrossing arc diagram of a signed permutation."""
     return DiagramB(pi.n, frozenset(arc for _k, arc in signed_descent_arcs(pi)))
-
-
-def diagram_of_signed_direct(pi: SignedPermutation) -> DiagramB:
-    """Same diagram computed by position rules on the short word.
-
-    Independent of the unfold/fold path: sides are read off the positions of
-    the passed values in the short word directly.
-    """
-    w = pi.word
-    n = pi.n
-    pos = {v: i for i, v in enumerate(w)}  # position of each signed entry
-
-    def long_position(v: int) -> int:
-        # index of value v in the long word, center at positions n-1|n
-        return n + pos[v] if v in pos else n - 1 - pos[-v]
-
-    arcs: List[TypeBArc] = []
-    if w[0] < 0:
-        top = -w[0]
-        right = frozenset(u for u in range(1, top) if u in pos)
-        arcs.append(OrbifoldArc(top, right))
-    for k in range(n - 1):
-        if w[k] <= w[k + 1]:
-            continue
-        a, b = w[k], w[k + 1]
-        if a > 0 and b > 0:
-            right = frozenset(u for u in between(b, a) if long_position(u) > n + k + 1)
-            arcs.append(OrdinaryArc(b, a, right))
-        elif a < 0 and b < 0:
-            lo, hi = -a, -b
-            right = frozenset(
-                u
-                for u in between(lo, hi)
-                if u in pos or (-u in pos and pos[-u] < k)
-            )
-            arcs.append(OrdinaryArc(lo, hi, right))
-        else:
-            right_end, left_end = a, -b
-            right = frozenset(u for u in range(1, right_end) if u in pos and pos[u] > k + 1)
-            left = frozenset(u for u in range(1, left_end) if -u in pos and pos[-u] > k + 1)
-            arcs.append(LongArc(left_end, right_end, left, right))
-    return DiagramB(n, frozenset(arcs))
 
 
 def signed_of_diagram(diagram: DiagramB) -> SignedPermutation:
@@ -452,14 +425,8 @@ def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
     return tuple(head + core + tail)
 
 
-def join_irreducible_signed(arc: TypeBArc, n: int) -> SignedPermutation:
-    return SignedPermutation(join_irreducible_word(arc, n))
-
-
 def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
     """The unique arc in the diagram of a join-irreducible signed permutation."""
-    from .permutations import is_join_irreducible_signed
-
     if not is_join_irreducible_signed(pi):
         raise NotJoinIrreducible(f"{pi} is not join-irreducible")
     arcs = diagram_of_signed(pi).arcs

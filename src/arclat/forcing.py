@@ -258,25 +258,37 @@ class ArcTable:
     one bitmask column and row per arc.  Column j has bit i set when arcs[i]
     is related to arcs[j], and row i is the transpose: bit j set for the
     same pairs.  Each is computed by column(j) or row(i) the first time it
-    is asked for and then kept, so a row costs no column."""
+    is asked for and then kept, so a row costs no column.  col_cost[j] and
+    row_cost[i] estimate what computing each costs, in one unit for both."""
 
-    def __init__(self, n: int, arcs: Sequence, column: Callable[[int], int], row: Callable[[int], int]):
+    def __init__(self, n: int, arcs: Sequence, column: Callable[[int], int], row: Callable[[int], int],
+                 col_cost: Sequence[int], row_cost: Sequence[int]):
         self.n = n
         self.arcs = tuple(arcs)
         self.index = {a: i for i, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
         self.column, self.row_of = column, row
+        self.col_cost, self.row_cost = col_cost, row_cost
         self._cols: List[Optional[int]] = [None] * len(self.arcs)
         self._rows: List[Optional[int]] = [None] * len(self.arcs)
+        self._cols_todo = self._rows_todo = self.full  # the ones not yet kept
+
+    def cost(self, mask: int, rows: bool) -> int:
+        """What reading the rows, or else the columns, of the arcs in mask
+        still costs: those already kept cost nothing."""
+        todo, cost = (self._rows_todo, self.row_cost) if rows else (self._cols_todo, self.col_cost)
+        return sum(cost[i] for i in bits(mask & todo))
 
     def col(self, j: int) -> int:
         if self._cols[j] is None:
             self._cols[j] = self.column(j)
+            self._cols_todo ^= 1 << j
         return self._cols[j]
 
     def row(self, i: int) -> int:
         if self._rows[i] is None:
             self._rows[i] = self.row_of(i)
+            self._rows_todo ^= 1 << i
         return self._rows[i]
 
     def up(self, mask: int) -> int:
@@ -294,6 +306,19 @@ class ArcTable:
 
     def arcs_of(self, mask: int) -> frozenset:
         return frozenset(self.arcs[i] for i in bits(mask))
+
+
+# A subarc column makes one dict lookup per type-A subarc of its key and a
+# row one comparison per main key; at n = 7 a lookup takes about 13 times as
+# long (870 against 67 ns, over every column and every row).
+LOOKUP_COST = 13
+
+
+def _lookup_cost(key: Key) -> int:
+    """What _subkeys costs on key: LOOKUP_COST per pair of its points."""
+    p, q, _right = key
+    k = q - p + 1 - (p < 0 < q)
+    return LOOKUP_COST * (k * (k - 1) // 2)
 
 
 def _subkeys(n: int, key: Key, index: Dict[Key, int]) -> Iterator[Tuple[Key, int]]:
@@ -347,7 +372,9 @@ def subarc_table(n: int) -> ArcTable:
     def row(i: int) -> int:
         return _superkeys(n, [keyed.main[i]], long_mains) if long[i] else _superkeys(n, pieces[i], mains)
 
-    return ArcTable(n, arcs, column, row)
+    col_cost = [_lookup_cost(key) for key in keyed.main]
+    row_cost = [len(long_mains) if long[i] else len(pieces[i]) * len(mains) for i in range(len(arcs))]
+    return ArcTable(n, arcs, column, row, col_cost, row_cost)
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +385,8 @@ def loose_subarc_table(n: int) -> ArcTable:
         arcs,
         lambda j: sum(1 << i for i, a in enumerate(arcs) if is_loose_subarc(a, arcs[j])),
         lambda i: sum(1 << j for j, b in enumerate(arcs) if is_loose_subarc(arcs[i], b)),
+        [len(arcs)] * len(arcs),
+        [len(arcs)] * len(arcs),
     )
 
 
@@ -373,6 +402,8 @@ def symmetric_subarc_table(n: int) -> ArcTable:
         arcs,
         lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0),
         lambda i: _superkeys(n, [keys[i]], mains),
+        [_lookup_cost(key) for key in keys],
+        [len(mains)] * len(mains),
     )
 
 
@@ -387,16 +418,13 @@ class ArcCongruence:
     table = staticmethod(subarc_table)
 
     def __post_init__(self):
-        # Up-closure on the smaller side: contracted rows or uncontracted
-        # columns; both find exactly the subarc pairs that leave the mask.
+        # Up-closure on the cheaper side: contracted rows or uncontracted
+        # columns, whichever costs less to compute.
         table = self.table(self.n)
         mask = table.mask(self.contracted)
         object.__setattr__(self, "mask", mask)
-        if 2 * len(self.contracted) <= len(table.arcs):
-            bad = next((i for i in bits(mask) if table.row(i) & ~mask), None)
-        else:
-            below = (table.col(j) & mask for j in bits(table.full & ~mask))
-            bad = next((c.bit_length() - 1 for c in below if c), None)
+        rows = table.cost(mask, True) <= table.cost(table.full & ~mask, False)
+        bad = _first_unclosed(table, mask, rows)
         if bad is not None:
             raise ValueError(f"contracted set not closed above {table.arcs[bad]}")
 
@@ -425,6 +453,15 @@ class ArcCongruence:
 
     def __contains__(self, arc) -> bool:
         return arc in self.contracted
+
+
+def _first_unclosed(table: ArcTable, mask: int, rows: bool) -> Optional[int]:
+    """The lowest arc in mask related to an arc outside it, read off the rows
+    of mask or else the columns of the rest; None if mask is up-closed."""
+    if rows:
+        return next((i for i in bits(mask) if table.row(i) & ~mask), None)
+    below = reduce(or_, map(table.col, bits(table.full & ~mask)), 0) & mask
+    return (below & -below).bit_length() - 1 if below else None
 
 
 def congruence_meet(t1: ArcCongruence, t2: ArcCongruence) -> ArcCongruence:

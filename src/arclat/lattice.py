@@ -67,11 +67,27 @@ class FiniteLattice:
         level = self._levels(n, above, below)
         order = sorted(range(n), key=lambda i: (level[i], i))
         rank_of = {old: new for new, old in enumerate(order)}
-        self.labels = [labels[i] for i in order]
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self._build([labels[i] for i in order], [sorted(rank_of[j] for j in below[order[i]]) for i in range(n)])
+
+    @classmethod
+    def _on_ids(cls, labels: list, covers_down: list) -> "FiniteLattice":
+        """The lattice whose element i is labels[i] with lower covers
+        covers_down[i], ascending ids that all precede i; every check of the
+        constructor runs."""
+        lat = cls.__new__(cls)
+        lat._build(labels, covers_down)
+        return lat
+
+    def _build(self, labels: list, covers_down: list) -> None:
+        n = len(labels)
+        self.labels = labels
+        self.index = {lab: i for i, lab in enumerate(labels)}
         self.n = n
-        self.covers_up = [sorted(rank_of[j] for j in above[order[i]]) for i in range(n)]
-        self.covers_down = [sorted(rank_of[j] for j in below[order[i]]) for i in range(n)]
+        self.covers_down = covers_down
+        self.covers_up = [[] for _ in range(n)]
+        for i, lower in enumerate(covers_down):
+            for j in lower:
+                self.covers_up[j].append(i)
 
         up = [0] * n
         down = [0] * n
@@ -116,12 +132,15 @@ class FiniteLattice:
         # it lies above c1, not at c1 (else c2 < c1 < b), and below b, which
         # covers c1, so c1 v c2 = b.  The upper bounds of {a, b} are then
         # those of {a, c1, c2}, that is of {a v c1, c2}, which have a least
-        # element because c2 precedes b.
+        # element because c2 precedes b.  The upper bounds m = up[a] & up[j]
+        # are an up-set, never empty since the top is checked above, so they
+        # hold up[low] for their lowest id low, and low is their least
+        # element iff m == up[low].
         for a in range(n):
             ua = up[a]
             for j in self.jis:
                 m = ua & up[j]
-                if m & ~up[(m & -m).bit_length() - 1]:
+                if m != up[(m & -m).bit_length() - 1]:
                     raise NotALattice((self.labels[min(a, j)], self.labels[max(a, j)]))
         self._cjr: dict = {}
         self._forcing: Optional[tuple] = None
@@ -159,17 +178,8 @@ class FiniteLattice:
     def meet(self, a: int, b: int) -> int:
         return (self.down[a] & self.down[b]).bit_length() - 1
 
-    def join_all(self, items: Iterable[int]) -> int:
-        m = self.up[self.bottom]
-        for x in items:
-            m &= self.up[x]
-        return (m & -m).bit_length() - 1
-
     def elements(self) -> range:
         return range(self.n)
-
-    def interval_mask(self, lo: int, hi: int) -> int:
-        return self.up[lo] & self.down[hi]
 
     def covers(self) -> list:
         return [(a, b) for a in range(self.n) for b in self.covers_up[a]]
@@ -380,7 +390,8 @@ def contracted_jis(lat: FiniteLattice, theta: Congruence) -> frozenset:
 
 
 def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
-    """Quotient lattice, realized on the bottom elements of the classes.
+    """Quotient lattice, realized on the bottom elements of the classes: the
+    order of L restricted to them, their ids in the order of L's ids.
 
     Raises NotALattice unless the class map pi, taking x to its class, is a
     join-homomorphism onto the quotient.  That is checked as
@@ -394,17 +405,18 @@ def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
     """
     bottoms = sorted(set(theta.class_of))
     mask_all = sum(1 << b for b in bottoms)
-    covers = []
+    in_q = {b: i for i, b in enumerate(bottoms)}
+    covers_down = []
     for b in bottoms:
         # The bottoms below b, maximal first: the highest id left is maximal
         # among those left, as ids extend the order.
-        lower = lat.down[b] & mask_all & ~(1 << b)
+        lower, found = lat.down[b] & mask_all & ~(1 << b), []
         while lower:
             c = lower.bit_length() - 1
-            covers.append((lat.labels[c], lat.labels[b]))
+            found.append(in_q[c])
             lower &= ~lat.down[c]
-    q = FiniteLattice(covers, [lat.labels[b] for b in bottoms])
-    in_q = {b: q.index[lat.labels[b]] for b in bottoms}
+        covers_down.append(found[::-1])
+    q = FiniteLattice._on_ids([lat.labels[b] for b in bottoms], covers_down)
     pi = [in_q[c] for c in theta.class_of]
     up, qup = lat.up, q.up
     ji_ups = [(up[j], qup[pi[j]]) for j in lat.jis]

@@ -66,6 +66,21 @@ def refl_b(x: int, y: int) -> Reflection:
     return Reflection("B", a, b)
 
 
+def lower_covers(word: Word) -> Iterator[Tuple[Tuple[int, int], Word]]:
+    """Each element covered by the one with this word, as (its cover
+    reflection, its word): the centre first, where a signed word starts
+    negative, then the descents by position.  The reflection is the value
+    pair (a, b) that refl_a and refl_b store: (y, x) for a descent x > y
+    with x + y >= 0, else (-x, -y), and (w[0], -w[0]) for the centre.  A
+    permutation's word has no negative entry, so this serves both families."""
+    if word and word[0] < 0:
+        yield (word[0], -word[0]), (-word[0],) + word[1:]
+    for i in range(len(word) - 1):
+        x, y = word[i], word[i + 1]
+        if x > y:
+            yield ((y, x) if x + y >= 0 else (-x, -y)), word[:i] + (y, x) + word[i + 2:]
+
+
 def _word_inversion_pairs(word: Word) -> frozenset:
     pos = {v: i for i, v in enumerate(word)}
     values = sorted(word)
@@ -100,20 +115,6 @@ class Permutation:
 
     def length(self) -> int:
         return len(self.inversions())
-
-    def inverts(self, t: Reflection) -> bool:
-        """Whether t = (a b), a < b, is an inversion: b comes before a."""
-        return self.word.index(t.b) < self.word.index(t.a)
-
-    def covers_down(self) -> list:
-        """Elements covered by self, each with its cover reflection."""
-        out = []
-        w = self.word
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                lower = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                out.append((Permutation(lower), refl_a(w[i], w[i + 1])))
-        return out
 
     def __repr__(self) -> str:
         return "Permutation(" + "".join(str(v) for v in self.word) + ")"
@@ -154,25 +155,6 @@ class SignedPermutation:
 
     def length(self) -> int:
         return len(self.inversions())
-
-    def inverts(self, t: Reflection) -> bool:
-        """Whether t = (a b)(-a -b), a < b, is an inversion: b comes before a
-        in the long word (equivalently, -a before -b)."""
-        long = self.long_word()
-        return long.index(t.b) < long.index(t.a)
-
-    def covers_down(self) -> list:
-        """Elements covered by self, each with its cover reflection."""
-        out = []
-        w = self.word
-        if w[0] < 0:
-            lower = (-w[0],) + w[1:]
-            out.append((SignedPermutation(lower), refl_b(w[0], -w[0])))
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                lower = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                out.append((SignedPermutation(lower), refl_b(w[i], w[i + 1])))
-        return out
 
     def __repr__(self) -> str:
         return "SignedPermutation(" + ",".join(str(v) for v in self.word) + ")"
@@ -236,23 +218,25 @@ def weak_order_lattice(cox: CoxeterType) -> FiniteLattice:
         if cox.n > 4:
             raise ScopeExceeded("type B weak order supported up to n = 4")
         elems = list(all_signed_permutations(cox.n))
-    covers = [(lower, w) for w in elems for lower, _t in w.covers_down()]
+    by_word = {w.word: w for w in elems}
+    covers = [(by_word[lower], w) for w in elems for _t, lower in lower_covers(w.word)]
     return build_lattice(covers, elems)
 
 
 def cjr_weak(w) -> frozenset:
-    """Canonical joinands of w: per cover reflection t, the minimal v <= w
-    with t inverted, found by greedy descent through the interval, one
-    inversion test of t per lower cover tried."""
+    """Canonical joinands of w: for each cover reflection t of w, the
+    minimal v <= w with t inverted, found by greedy descent.  The rule: walk
+    down from w, each step to the first lower cover whose cover reflection
+    is not t, and stop where there is none.  A lower cover of v has the
+    inversions of v less its own cover reflection and no other, so it still
+    inverts t iff its cover reflection is not t.  Words are walked as
+    tuples; only the joinands are built."""
     out = []
-    for _lower, t in w.covers_down():
-        v = w
-        while True:
-            nxt = next((lower for lower, _s in v.covers_down() if lower.inverts(t)), None)
-            if nxt is None:
-                break
+    for t, _lower in lower_covers(w.word):
+        v = w.word
+        while (nxt := next((lower for s, lower in lower_covers(v) if s != t), None)) is not None:
             v = nxt
-        out.append(v)
+        out.append(type(w)(v))
     return frozenset(out)
 
 

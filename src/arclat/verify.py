@@ -289,7 +289,7 @@ def suite_hom(n: int) -> dict:
     return rep.done()
 
 
-def suite_cambrian(n: int, max_designations: Optional[int] = None, seed: int = 5) -> dict:
+def suite_cambrian(n: int) -> dict:
     if n > 5:
         raise lat.ScopeExceeded("cambrian suite supported up to n = 5")
     rep = Report("cambrian", n)
@@ -297,9 +297,6 @@ def suite_cambrian(n: int, max_designations: Optional[int] = None, seed: int = 5
     designations = [
         Designation(tuple(s)) for s in itertools.product("RL", repeat=n - 1)
     ]
-    if max_designations is not None and len(designations) > max_designations:
-        rng = random.Random(seed)
-        designations = rng.sample(designations, max_designations)
     elements = list(all_signed_permutations(n))
     for d in designations:
         theta = catalog.cambrian_congruence(n, d)

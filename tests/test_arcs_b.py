@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 
@@ -24,6 +23,8 @@ from arclat.permutations import (
     CoxeterType,
     SignedPermutation,
     all_signed_permutations,
+    lower_covers,
+    unfold,
     weak_order_lattice,
 )
 
@@ -182,20 +183,33 @@ def test_diagram_roundtrip_exhaustive(n):
         assert arcs_b.signed_of_diagram(arcs_b.diagram_of_signed(pi)) == pi
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def signed_descent_arcs_by_unfolding(pi):
+    """The descent arcs of pi by the unfold route: the type-A descent arcs of
+    the long word, each folded back by the half turn."""
+    word = unfold(pi)
+    n = pi.n
+    pos_arcs = dict(arcs_a.descent_arcs(word))
+    out = []
+    if pi.word[0] < 0:
+        center = pos_arcs[n - 1]  # descent across the middle
+        out.append(("center", fold_phi(SymmetricArc(center.top, center.right))))
+    for k in range(n - 1):
+        if pi.word[k] > pi.word[k + 1]:
+            a = pos_arcs[n + k]
+            if a.bottom > 0 or a.top < 0:
+                pos = a if a.bottom > 0 else arcs_a.antipode(a)
+                out.append((k, OrdinaryArc(pos.bottom, pos.top, pos.right)))
+            else:
+                out.append((k, arcs_b._fold_pair_from_right_arc(a)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_direct_construction_agrees_exhaustive(n):
+    """The map on the short word gives the unfold route's arcs, keys and
+    order on every signed permutation of rank n."""
     for pi in all_signed_permutations(n):
-        assert arcs_b.diagram_of_signed_direct(pi) == arcs_b.diagram_of_signed(pi)
-
-
-def test_direct_construction_agrees_sampled_rank_five():
-    rng = random.Random(17)
-    base = list(range(1, 6))
-    for _ in range(100):
-        rng.shuffle(base)
-        word = tuple(v * rng.choice((1, -1)) for v in base)
-        pi = SignedPermutation(word)
-        assert arcs_b.diagram_of_signed_direct(pi) == arcs_b.diagram_of_signed(pi)
+        assert arcs_b.signed_descent_arcs(pi) == signed_descent_arcs_by_unfolding(pi), pi
 
 
 def test_join_irreducible_dictionary_examples():
@@ -226,10 +240,10 @@ def test_arc_ji_bijection(n):
     W = weak_order_lattice(CoxeterType("B", n))
     jis = {W.labels[j.element] for j in lat.join_irreducibles(W)}
     arcs = arcs_b.all_arcs(n)
-    image = {arcs_b.join_irreducible_signed(a, n) for a in arcs}
+    image = {SignedPermutation(arcs_b.join_irreducible_word(a, n)) for a in arcs}
     assert image == jis
     for a in arcs:
-        assert arcs_b.arc_of_join_irreducible(arcs_b.join_irreducible_signed(a, n)) == a
+        assert arcs_b.arc_of_join_irreducible(SignedPermutation(arcs_b.join_irreducible_word(a, n))) == a
 
 
 def test_two_orbifold_arcs_incompatible():
@@ -269,7 +283,7 @@ def test_diagram_count_matches_group_order_rank_four():
 def test_arcs_count_cover_reflections():
     for n in (2, 3):
         for pi in all_signed_permutations(n):
-            assert len(arcs_b.diagram_of_signed(pi).arcs) == len(pi.covers_down())
+            assert len(arcs_b.diagram_of_signed(pi).arcs) == len(list(lower_covers(pi.word)))
 
 
 def test_incompatible_diagram_rejected():

@@ -82,7 +82,7 @@ def test_hom_rank_two_contractions():
     pairs_b = {SignedPermutation((-2, 1)), SignedPermutation((1, -2))}
     for variant in ("simion", "delta", "delta_mirror"):
         theta = hom_congruence(2, variant)
-        contracted = {arcs_b.join_irreducible_signed(a, 2) for a in theta.contracted}
+        contracted = {SignedPermutation(arcs_b.join_irreducible_word(a, 2)) for a in theta.contracted}
         assert len(contracted & pairs_a) == 1
         assert len(contracted & pairs_b) == 1
 

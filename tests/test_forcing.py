@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -370,7 +371,7 @@ def test_principal_below_every_contracting_congruence():
     for theta in forcing.all_congruences(2):
         part = {(x, y) for c in forcing.element_partition(theta) for x in c for y in c}
         for arc in theta.contracted:
-            j = ji_of[arcs_b.join_irreducible_signed(arc, 2)]
+            j = ji_of[SignedPermutation(arcs_b.join_irreducible_word(arc, 2))]
             principal = lat.principal_congruence(W, j)
             for members in principal.classes():
                 for x, y in itertools.combinations(members, 2):
@@ -452,7 +453,7 @@ def test_principal_contracted_arcs_are_superarc_closures_rank_three():
     ji_of = {W.labels[j.element]: j for j in lat.join_irreducibles(W)}
     arcs = arcs_b.all_arcs(3)
     for arc in arcs:
-        j = ji_of[arcs_b.join_irreducible_signed(arc, 3)]
+        j = ji_of[SignedPermutation(arcs_b.join_irreducible_word(arc, 3))]
         theta = lat.principal_congruence(W, j)
         contracted = {
             arcs_b.arc_of_join_irreducible(W.labels[x.element])
@@ -728,6 +729,33 @@ def test_validation_matches_the_row_check_on_both_sides():
             with pytest.raises(ValueError, match="not closed above"):
                 ArcCongruence(3, contracted)
     assert seen == {(small, closed) for small in (True, False) for closed in (True, False)}
+
+
+@pytest.mark.parametrize("cls,n", [(ArcCongruence, 2), (ArcCongruence, 3), (ArcCongruence, 4),
+                                   (forcing.ArcCongruenceA, 2), (forcing.ArcCongruenceA, 3)])
+def test_rows_and_columns_find_the_same_first_unclosed_arc(cls, n):
+    """On seeded sets that are not up-closed, random ones and closures with
+    one arc flipped, both sides of the validation name the lowest contracted
+    arc below an uncontracted one, and the error names it too."""
+    table = cls.table(n)
+    m = len(table.arcs)
+    rng = random.Random(n)
+    lows = set()
+    for k in range(400):
+        if k % 2:
+            mask = rng.getrandbits(m)
+        else:
+            mask = table.up(1 << rng.randrange(m)) ^ 1 << rng.randrange(m)
+        outside = table.full & ~mask
+        expect = next((i for i in range(m) if mask >> i & 1 and table.row(i) & outside), None)
+        if expect is None:
+            continue
+        lows.add(expect)
+        assert forcing._first_unclosed(table, mask, True) == expect
+        assert forcing._first_unclosed(table, mask, False) == expect
+        with pytest.raises(ValueError, match=f"not closed above {re.escape(str(table.arcs[expect]))}$"):
+            cls(n, table.arcs_of(mask))
+    assert len(lows) > 1
 
 
 @pytest.mark.parametrize(

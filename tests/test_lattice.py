@@ -167,7 +167,7 @@ def is_congruence(L, classes):
             mask |= 1 << m
         bot = (mask & -mask).bit_length() - 1
         top = mask.bit_length() - 1
-        if L.interval_mask(bot, top) != mask:
+        if L.up[bot] & L.down[top] != mask:
             return False
         bots[cid], tops[cid] = bot, top
     for a in range(L.n):
@@ -415,6 +415,14 @@ def test_cjr_oracle_total_both_ways(family, n):
         assert cjr_oracle(D, i) is not None
 
 
+def join_all(L, items):
+    """The join of items, the bottom when there is none."""
+    m = L.up[L.bottom]
+    for x in items:
+        m &= L.up[x]
+    return (m & -m).bit_length() - 1
+
+
 def cjr_by_search(L, x):
     """Canonical join representation by exhaustive search: enumerate the
     irredundant antichain join-representations of x by join-irreducibles
@@ -430,7 +438,7 @@ def cjr_by_search(L, x):
     def rec(i, members, cur):
         if cur == x:
             for drop in range(len(members)):
-                if L.join_all(members[:drop] + members[drop + 1:]) == x:
+                if join_all(L, members[:drop] + members[drop + 1:]) == x:
                     return  # redundant
             reps.append(members)
             return
@@ -698,3 +706,40 @@ def test_cjr_oracle_memo_returns_what_a_fresh_lattice_computes():
             got = cjr_oracle(fresh, fresh.index[L.labels[x]])
             as_labels = None if got is None else {fresh.labels[j] for j in got}
             assert as_labels == (None if first[x] is None else {L.labels[j] for j in first[x]})
+
+
+def quotient_by_label_pairs(L, theta):
+    """The quotient's order as lattice.quotient first built it: a fresh
+    FiniteLattice from cover pairs of the class bottoms' labels."""
+    bottoms = sorted(set(theta.class_of))
+    mask_all = sum(1 << b for b in bottoms)
+    covers = []
+    for b in bottoms:
+        lower = L.down[b] & mask_all & ~(1 << b)
+        while lower:
+            c = lower.bit_length() - 1
+            covers.append((L.labels[c], L.labels[b]))
+            lower &= ~L.down[c]
+    return build_lattice(covers, [L.labels[b] for b in bottoms])
+
+
+def by_label(q):
+    """Elements, covers and join-irreducibles of q, as sets of labels."""
+    return (
+        set(q.labels),
+        {(q.labels[a], q.labels[b]) for a, b in q.covers()},
+        {q.labels[j] for j in q.jis},
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_matches_the_label_pair_build(n):
+    """Every congruence of B2 and every single-generator congruence of B3
+    and B4."""
+    W = weak_order_lattice(CoxeterType("B", n))
+    thetas = lat.all_congruences(W) if n == 2 else (principal_congruence(W, j) for j in W.jis)
+    count = 0
+    for theta in thetas:
+        assert by_label(quotient(W, theta)) == by_label(quotient_by_label_pairs(W, theta))
+        count += 1
+    assert count == {2: 19, 3: 23, 4: 76}[n]

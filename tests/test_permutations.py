@@ -8,12 +8,14 @@ from arclat.permutations import (
     CoxeterType,
     NotSymmetric,
     Permutation,
+    Reflection,
     SignedPermutation,
     all_permutations,
     all_signed_permutations,
     cjr_weak,
     evaluate_word_b,
     fold,
+    lower_covers,
     refl_a,
     refl_b,
     simple_b,
@@ -23,6 +25,19 @@ from arclat.permutations import (
     weak_order_leq,
     word_w0_conjugate,
 )
+
+
+def covers_down(w):
+    """Elements covered by w, each with its cover reflection, as objects."""
+    family = "B" if isinstance(w, SignedPermutation) else "A"
+    return [(type(w)(lower), Reflection(family, *t)) for t, lower in lower_covers(w.word)]
+
+
+def inverts(w, t):
+    """Whether t = (a b), a < b, is an inversion of w: b comes before a in
+    the word, or in the long word of a signed permutation."""
+    word = w.long_word() if isinstance(w, SignedPermutation) else w.word
+    return word.index(t.b) < word.index(t.a)
 
 
 def test_inversions_examples():
@@ -54,9 +69,9 @@ def test_weak_order_leq_examples():
 
 
 def test_covers_down_examples():
-    assert Permutation((1, 2, 3)).covers_down() == []
-    assert SignedPermutation((1, 2)).covers_down() == []
-    covers = SignedPermutation((1, -2)).covers_down()
+    assert covers_down(Permutation((1, 2, 3))) == []
+    assert covers_down(SignedPermutation((1, 2))) == []
+    covers = covers_down(SignedPermutation((1, -2)))
     assert len(covers) == 1
     assert covers[0][0] == SignedPermutation((-2, 1))
 
@@ -67,7 +82,7 @@ def test_cover_reflections_are_length_decreasing(n):
     elems = list(all_signed_permutations(n))
     inv = {pi: pi.inversions() for pi in elems}
     for w in elems:
-        for lower, t in w.covers_down():
+        for lower, t in covers_down(w):
             assert inv[lower] == inv[w] - {t}
 
 
@@ -110,11 +125,11 @@ def cjr_weak_by_inversion_sets(w):
     """The greedy descent as first written: each step tests the cover
     reflection t against the whole inversion set of a lower cover."""
     out = []
-    for _lower, t in w.covers_down():
+    for _lower, t in covers_down(w):
         v = w
         while True:
             nxt = None
-            for lower, _s in v.covers_down():
+            for lower, _s in covers_down(v):
                 if t in lower.inversions():
                     nxt = lower
                     break
@@ -132,12 +147,59 @@ def test_cjr_weak_matches_the_inversion_set_descent(family, n):
         assert cjr_weak(w) == cjr_weak_by_inversion_sets(w), w
 
 
+def cjr_weak_by_inverts(w):
+    """The greedy descent on elements: each step builds the lower covers of
+    v and takes the first that inverts t."""
+    out = []
+    for _lower, t in covers_down(w):
+        v = w
+        while True:
+            nxt = next((lower for lower, _s in covers_down(v) if inverts(lower, t)), None)
+            if nxt is None:
+                break
+            v = nxt
+        out.append(v)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("family,n", [("A", 5), ("A", 6), ("B", 4)])
+def test_cjr_weak_matches_the_element_descent(family, n):
+    W = weak_order_lattice(CoxeterType(family, n))
+    for w in W.labels:
+        assert cjr_weak(w) == cjr_weak_by_inverts(w), w
+
+
 @pytest.mark.parametrize("family,n", [("A", 4), ("B", 3)])
 def test_inverts_matches_the_inversion_set(family, n):
     W = weak_order_lattice(CoxeterType(family, n))
     reflections = W.labels[W.top].inversions()
     for w in W.labels:
-        assert {t for t in reflections if w.inverts(t)} == w.inversions(), w
+        assert {t for t in reflections if inverts(w, t)} == w.inversions(), w
+
+
+@pytest.mark.parametrize("family,n", [("A", n) for n in range(1, 7)] + [("B", n) for n in range(1, 5)])
+def test_weak_order_lattice_matches_the_label_pair_build(family, n):
+    """The build through the word dict equals the one from covers_down's
+    element pairs."""
+    W = weak_order_lattice(CoxeterType(family, n))
+    elems = list(all_permutations(n) if family == "A" else all_signed_permutations(n))
+    ref = lat.build_lattice([(lower, w) for w in elems for lower, _t in covers_down(w)], elems)
+    assert (W.labels, W.covers_up, W.up, W.down, W.jis) == (ref.labels, ref.covers_up, ref.up, ref.down, ref.jis)
+
+
+def test_lower_covers_reflections_are_canonical():
+    """Each cover pair is what refl_a or refl_b stores for the swapped values."""
+    for n in (1, 2, 3, 4):
+        for pi in all_permutations(n):
+            for t, lower in lower_covers(pi.word):
+                i = next(i for i in range(n) if pi.word[i] != lower[i])
+                assert Reflection("A", *t) == refl_a(pi.word[i], pi.word[i + 1])
+        for pi in all_signed_permutations(n):
+            for t, lower in lower_covers(pi.word):
+                i = next(i for i in range(n) if pi.word[i] != lower[i])
+                x = pi.word[i]
+                y = -x if lower[i] == -x else pi.word[i + 1]
+                assert Reflection("B", *t) == refl_b(x, y)
 
 
 def test_w0_conjugate_formula_and_group():

@@ -3,10 +3,10 @@
 Contracting the join-irreducible of an arc forces contracting every
 superarc, so a congruence is stored as an up-closed set of contracted arcs;
 meets and joins of congruences are then set operations.  Element-level
-consequences read the descents of signed words as integer arc keys: class
-bottoms are the words with no contracted descent, found by a search that
-drops a suffix at its first one, and classes follow one descent table per
-rank, each word joining the class of the word below a contracted descent.
+consequences run on integers: class bottoms are the words with no contracted
+descent, found by a search over integer states that drops a suffix at its
+first one; classes follow one descent table per rank, where one AND of bit
+masks finds the words that join the class of the word below a descent.
 """
 
 from __future__ import annotations
@@ -541,43 +541,64 @@ def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
 
     Words are built right to left, and a suffix is dropped at its first
     contracted descent, since every word ending in it has that descent; the
-    centre descent is tested once the word is complete.  Each word carries
-    its index in signed_words: the Lehmer digit of the absolute values times
-    m! 2^n, plus 2^m for a negative entry, with m entries to its right.
+    centre descent is tested once the word is complete.  A suffix is an
+    integer state on an explicit stack: its head entry, its entries and the
+    unused absolute values as bitmasks, and its index in signed_words so far
+    (see _picks).  _word_at decodes a word only for an empty store slot.
     """
     n = theta.n
-    store = _signed_store(n)
-    weight = [factorial(m) << n for m in range(n)]
-    # ends[p + n][q + n]: the span of (p, q) and the right-point masks of the
-    # contracted arcs from p up to q; row 2n + 1 is the empty word's head.
-    ends = [[(arcs_b.span(n, p, q), set()) for q in range(-n, n + 1)] for p in range(-n, n + 2)]
+    store, picks = _signed_store(n), _picks(n)
+    # ends[p][q]: the span of (p, q) and the right-point masks of the
+    # contracted arcs from p up to q; p = n + 1 heads the empty suffix.
+    ends: Dict[int, Dict[int, Tuple[int, set]]] = {p: {} for p in range(-n, n + 2)}
     for p, q, right in theta.contracted_keys:
-        ends[p + n][q + n][1].add(right)
-    found: List[Tuple[int, Tuple[int, ...]]] = []
-
-    def grow(word: Tuple[int, ...], points: int, free: List[int], at: int) -> None:
-        # points holds the entries of word, free the unused absolute values.
-        head, m = word[0] if word else n + 1, len(word)
-        row = ends[head + n]
-        for i, a in enumerate(free):
-            rest, at_a = free[:i] + free[i + 1:], at + (a - 1 - i) * weight[m]
-            for b, at_b in ((a, at_a), (-a, at_a + (1 << m))):
-                if b > head and points & row[b + n][0] in row[b + n][1]:
-                    continue
-                if rest:
-                    grow((b,) + word, points | 1 << (b + n), rest, at_b)
-                elif b > 0 or points & ends[b + n][n - b][0] not in ends[b + n][n - b][1]:
-                    found.append((at_b, (b,) + word))
-
-    grow((), 0, list(range(1, n + 1)), 0)
+        ends[p].setdefault(q, (arcs_b.span(n, p, q), set()))[1].add(right)
+    found: List[int] = []
+    stack = [(n + 1, 0, (1 << n) - 1, 0)]
+    while stack:
+        head, points, free, at = stack.pop()
+        row = ends[head]  # only b > head can meet a contracted end
+        for b, bit, rest, step in picks[free]:
+            end = row.get(b)
+            if end is not None and points & end[0] in end[1]:
+                continue
+            if rest:
+                stack.append((b, points | bit, rest, at + step))
+            elif b > 0 or (end := ends[b].get(-b)) is None or points & end[0] not in end[1]:
+                found.append(at + step)
     found.sort()
-    out = []
-    for at, w in found:
-        pi = store[at]
-        if pi is None:
-            pi = store[at] = SignedPermutation(w)
-        out.append(pi)
-    return out
+    for at in found:
+        if store[at] is None:
+            store[at] = SignedPermutation(_word_at(n, at))
+    return [store[at] for at in found]
+
+
+@lru_cache(maxsize=None)
+def _picks(n: int) -> List[List[Tuple[int, int, int, int]]]:
+    """For each bitmask free of the absolute values not yet placed (bit
+    a - 1 for a), one entry (b, bit of b, free without a, step) per a in
+    free and b = a, -a; the bit of b is 1 << (b + n), as in a point mask.
+    A word's index in signed_words sums, over its entries with m entries to
+    their right, the Lehmer digit (the values right of it and below it)
+    times m! 2^n, plus 2^m if negative: step for b."""
+    picks = []
+    for free in range(1 << n):
+        m, entries = n - free.bit_count(), []
+        for a in bits(free << 1):
+            rest, step = free ^ 1 << a - 1, (~free & (1 << a - 1) - 1).bit_count() * factorial(m) << n
+            entries += [(a, 1 << a + n, rest, step), (-a, 1 << n - a, rest, step + (1 << m))]
+        picks.append(entries)
+    return picks
+
+
+def _word_at(n: int, at: int) -> Tuple[int, ...]:
+    """The word of index at in signed_words(n); see _picks."""
+    rank, values, word = at >> n, list(range(1, n + 1)), []
+    for m in range(n - 1, -1, -1):
+        digit, rank = divmod(rank, factorial(m))
+        a = values.pop(digit)
+        word.append(-a if at >> m & 1 else a)
+    return tuple(word)
 
 
 @lru_cache(maxsize=None)
@@ -596,10 +617,11 @@ class DescentTable:
     order of signed_words.  Word i's descents, the centre first and then by
     position, are entries start[i] to start[i + 1] - 1 of arc (the index of
     the descent's arc in subarc_table(n).arcs) and lower (the index of the
-    word one step down).  order lists the words by length, a linear
-    extension of the weak order.  elements is _signed_store(n), every slot
-    filled: the table shares it with quotient_elements, and its size is
-    that of the whole group, as the arrays' are."""
+    word one step down), and descents[i] is the bitmask of their arcs.
+    order lists the words by length, a linear extension of the weak order.
+    elements is _signed_store(n), every slot filled: the table shares it
+    with quotient_elements, and its size is that of the whole group, as the
+    arrays' are."""
 
     def __init__(self, n: int):
         words = list(signed_words(n))
@@ -607,6 +629,7 @@ class DescentTable:
         index = {w: i for i, w in enumerate(words)}
         arc_of = arcs_b.keyed_arcs(n).index
         self.start, self.arc, self.lower = array("i", [0]), array("i"), array("i")
+        self.descents: List[int] = []
         lengths = []
         for i, w in enumerate(words):
             if store[i] is None:
@@ -628,6 +651,7 @@ class DescentTable:
             for a, u in reversed(steps):
                 self.arc.append(a)
                 self.lower.append(index[u])
+            self.descents.append(reduce(or_, (1 << a for a, _u in steps), 0))
             self.start.append(len(self.arc))
             lengths.append(length)
         self.order = array("i", sorted(range(len(words)), key=lengths.__getitem__))
@@ -645,18 +669,20 @@ def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
     every call; their elements are the descent table's shared ones, the
     whole group, built once per rank.
 
-    A word is its class bottom when none of its descent arcs is contracted;
-    otherwise it shares the bottom of the word below its first contracted
-    descent, which comes earlier in the descent table's order.
+    A word is its class bottom when none of its descent arcs is contracted,
+    one AND of its descent bitmask with theta.mask; otherwise it shares the
+    bottom of the word below its first contracted descent, which comes
+    earlier in the descent table's order.
     """
     table, mask = descent_table(theta.n), _signed_mask(theta)
-    start, arc, lower = table.start, table.arc, table.lower
+    start, arc, lower, descents = table.start, table.arc, table.lower, table.descents
     bottom = list(range(len(table.order)))
     for i in table.order:
-        for j in range(start[i], start[i + 1]):
-            if mask >> arc[j] & 1:
-                bottom[i] = bottom[lower[j]]
-                break
+        if descents[i] & mask:
+            j = start[i]
+            while not mask >> arc[j] & 1:
+                j += 1
+            bottom[i] = bottom[lower[j]]
     fibers: Dict[int, List[SignedPermutation]] = {b: [] for b in bottom}
     for b, pi in zip(bottom, table.elements):
         fibers[b].append(pi)
@@ -701,16 +727,10 @@ class ArcCongruenceA(ArcCongruence):
 
 def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...]:
     """Bottom element of the class of a word, by contracted-descent removal."""
-    word = tuple(word)
-    while True:
-        step = None
-        for i, arc in _descent_arcs_cached(word):
-            if arc in theta.contracted:
-                step = i
-                break
-        if step is None:
-            return word
+    contracted, word = theta.contracted, tuple(word)
+    while (step := next((i for i, arc in _descent_arcs_cached(word) if arc in contracted), None)) is not None:
         word = word[:step] + (word[step + 1], word[step]) + word[step + 2:]
+    return word
 
 
 def is_in_con_a(theta: ArcCongruence) -> bool:
@@ -721,14 +741,20 @@ def is_in_con_a(theta: ArcCongruence) -> bool:
     return table.up(mask) & ~mask == 0
 
 
+def unfolded_lift(theta: ArcCongruence) -> Optional[ArcCongruenceA]:
+    """lift_to_symmetric without its guard: None when not symmetric."""
+    gens = [a for arc in theta.contracted for a in arcs_b.unfold_arcs(arc)]
+    lifted = ArcCongruenceA.from_generators(theta.n, gens)
+    return lifted if lifted.is_symmetric() else None
+
+
 def lift_to_symmetric(theta: ArcCongruence) -> ArcCongruenceA:
     """The symmetric congruence on words over +/-1..n generated by the
     unfolded contracted arcs; defined exactly when theta restricts from one."""
     if not is_in_con_a(theta):
         raise NotInConA("uncontracted arcs are not closed under loose subarcs")
-    gens = [a for arc in theta.contracted for a in arcs_b.unfold_arcs(arc)]
-    lifted = ArcCongruenceA.from_generators(theta.n, gens)
-    if not lifted.is_symmetric():
+    lifted = unfolded_lift(theta)
+    if lifted is None:
         raise InvariantError(f"lift of {theta} is not symmetric")
     return lifted
 

@@ -46,18 +46,12 @@ def suite_bijections(n: int) -> dict:
     if n > 8:
         raise lat.ScopeExceeded("bijections suite supported up to n = 8")
     rep = Report("bijections", n)
-    bad = None
-    for w in itertools.permutations(range(1, n + 1)):
-        if arcs_a.word_of(arcs_a.diagram_of(w)) != w:
-            bad = w
-            break
+    words = itertools.permutations(range(1, n + 1))
+    bad = next((w for w in words if arcs_a.word_of(arcs_a.diagram_of(w)) != w), None)
     rep.check(f"plain diagram roundtrip on all {n}-words", bad is None, bad)
     if n <= 4:
-        bad = None
-        for pi in all_signed_permutations(n):
-            if arcs_b.signed_of_diagram(arcs_b.diagram_of_signed(pi)) != pi:
-                bad = pi
-                break
+        signed = all_signed_permutations(n)
+        bad = next((pi for pi in signed if arcs_b.signed_of_diagram(arcs_b.diagram_of_signed(pi)) != pi), None)
         rep.check(f"signed diagram roundtrip on all of rank {n}", bad is None, bad)
     return rep.done()
 
@@ -128,11 +122,10 @@ def suite_forcing_oracle(n: int) -> dict:
     jis = list(lat.join_irreducibles(W))
     arcs = {j.element: arcs_b.arc_of_join_irreducible(W.labels[j.element]) for j in jis}
     pairs = list(itertools.product(jis, jis))
-    bad = None
-    for j1, j2 in pairs:
-        if lat.forcing_oracle(W, j1, j2) != forcing.is_subarc(arcs[j1.element], arcs[j2.element]):
-            bad = (W.labels[j1.element], W.labels[j2.element])
-            break
+    bad = next((
+        (W.labels[j1.element], W.labels[j2.element]) for j1, j2 in pairs
+        if lat.forcing_oracle(W, j1, j2) != forcing.is_subarc(arcs[j1.element], arcs[j2.element])
+    ), None)
     rep.check(f"subarc = principal-congruence forcing ({len(pairs)} pairs)", bad is None, bad)
     return rep.done()
 
@@ -308,19 +301,11 @@ def suite_cambrian(n: int) -> dict:
         ):
             pattern = {pi for pi in elements if test(pi, d)}
             rep.check(f"{d}: {name}", pattern == members)
-        reps_arcs = catalog.cambrian_meet_rep(n, d)
-        acc = None
-        for arc in reps_arcs:
-            mi = forcing.meet_irreducible_congruence(n, arc)
-            acc = mi if acc is None else forcing.congruence_meet(acc, mi)
+        irreducibles = (forcing.meet_irreducible_congruence(n, arc) for arc in catalog.cambrian_meet_rep(n, d))
+        acc = functools.reduce(forcing.congruence_meet, irreducibles)
         rep.check(f"{d}: meet of maximal-arc congruences", acc.contracted == theta.contracted)
-        bad = None
-        for pi in members:
-            D = arcs_b.diagram_of_signed(pi)
-            part = catalog.ncp_of_diagram(D, d)
-            if catalog.diagram_of_ncp(part, d) != D:
-                bad = pi
-                break
+        diagrams = ((pi, arcs_b.diagram_of_signed(pi)) for pi in members)
+        bad = next((pi for pi, D in diagrams if catalog.diagram_of_ncp(catalog.ncp_of_diagram(D, d), d) != D), None)
         rep.check(f"{d}: block-partition roundtrip", bad is None, bad)
     return rep.done()
 
@@ -370,17 +355,15 @@ def suite_con_a(n: int) -> dict:
     bad = None
     for theta in thetas:
         closed = forcing.is_in_con_a(theta)
-        gens = [a for arc in theta.contracted for a in arcs_b.unfold_arcs(arc)]
-        lifted = forcing.ArcCongruenceA.from_generators(n, gens)
-        if not lifted.is_symmetric():
+        lifted = forcing.unfolded_lift(theta)
+        if lifted is None:
             bad = (theta, "lift not symmetric")
             break
-        proj_b = {pi: forcing.project(pi, theta) for pi in elements}
-        proj_a = {pi: forcing.project_word(unfold(pi), lifted) for pi in elements}
-        restricts = all(
-            (proj_b[x] == proj_b[y]) == (proj_a[x] == proj_a[y])
-            for x, y in itertools.combinations(elements, 2)
-        )
+        # The projections give the same partition iff their value pairs are
+        # as many as the values of each.
+        proj_b = [forcing.project(pi, theta) for pi in elements]
+        proj_a = [forcing.project_word(unfold(pi), lifted) for pi in elements]
+        restricts = len(set(zip(proj_b, proj_a))) == len(set(proj_b)) == len(set(proj_a))
         if closed != restricts:
             bad = (sorted(theta.contracted, key=arcs_b.arc_key), closed, restricts)
             break
@@ -390,18 +373,11 @@ def suite_con_a(n: int) -> dict:
         bad,
     )
     members = [t for t in thetas if forcing.is_in_con_a(t)]
-    bad = None
     pairs = list(itertools.combinations(members, 2))
     if len(pairs) > 400:
-        rng = random.Random(2)
-        pairs = rng.sample(pairs, 400)
-    for t1, t2 in pairs:
-        if not forcing.is_in_con_a(forcing.congruence_meet(t1, t2)):
-            bad = (t1, t2, "meet")
-            break
-        if not forcing.is_in_con_a(forcing.congruence_join(t1, t2)):
-            bad = (t1, t2, "join")
-            break
+        pairs = random.Random(2).sample(pairs, 400)
+    ops = (("meet", forcing.congruence_meet), ("join", forcing.congruence_join))
+    bad = next(((t1, t2, op) for t1, t2 in pairs for op, f in ops if not forcing.is_in_con_a(f(t1, t2))), None)
     rep.check(f"membership closed under meet and join ({len(pairs)} pairs)", bad is None, bad)
     if n == 3:
         rep.check("simion verdict", not forcing.is_in_con_a(catalog.hom_congruence(3, "simion")))
@@ -416,13 +392,10 @@ def suite_symmetry(n: int) -> dict:
         raise lat.ScopeExceeded("symmetry suite supported up to n = 4")
     rep = Report("symmetry", n)
     values = [v for v in range(-n, n + 1) if v != 0]
-    bad = None
-    for word in itertools.permutations(values):
-        d1 = arcs_a.diagram_of(word_w0_conjugate(word))
-        d2 = arcs_a.half_turn(arcs_a.diagram_of(word))
-        if d1 != d2:
-            bad = word
-            break
+    bad = next((
+        w for w in itertools.permutations(values)
+        if arcs_a.diagram_of(word_w0_conjugate(w)) != arcs_a.half_turn(arcs_a.diagram_of(w))
+    ), None)
     rep.check(f"conjugation by the longest element is the half turn (2n={2*n})", bad is None, bad)
     return rep.done()
 

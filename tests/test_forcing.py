@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -447,6 +448,34 @@ def test_lift_restricts_exactly_at_rank_two():
             assert (pb[x] == pb[y]) == (pa[x] == pa[y])
 
 
+def same_partition_by_pairs(xs, ys):
+    """The pairwise reference: xs[i] == xs[j] iff ys[i] == ys[j]."""
+    return all((xs[i] == xs[j]) == (ys[i] == ys[j]) for i, j in itertools.combinations(range(len(xs)), 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_partition_count_matches_the_pairwise_check(n):
+    """verify.suite_con_a compares the two projections by counting value
+    pairs; at n = 2 every congruence, at n = 3 every one-generator one, with
+    the unguarded lift, which equals the guarded one on members."""
+    elements = list(all_signed_permutations(n))
+    thetas = forcing.all_congruences(2) if n == 2 else [
+        ArcCongruence.from_generators(3, [a]) for a in arcs_b.all_arcs(3)
+    ]
+    verdicts = set()
+    for theta in thetas:
+        lifted = forcing.unfolded_lift(theta)
+        assert lifted is not None
+        if is_in_con_a(theta):
+            assert lifted == lift_to_symmetric(theta)
+        pb = [forcing.project(pi, theta) for pi in elements]
+        pa = [forcing.project_word(unfold(pi), lifted) for pi in elements]
+        counted = len(set(zip(pb, pa))) == len(set(pb)) == len(set(pa))
+        assert counted == same_partition_by_pairs(pb, pa)
+        verdicts.add(counted)
+    assert verdicts == {True, False}
+
+
 def test_principal_contracted_arcs_are_superarc_closures_rank_three():
     """Element-level principal congruences contract exactly the superarcs."""
     W = weak_order_lattice(CoxeterType("B", 3))
@@ -604,6 +633,22 @@ def test_rank_five_quotients_match_descent_arc_references():
     assert sizes == [252] * 4 + [120, 8, 4, 2] + [3516, 3468, 1728, 48]
 
 
+def test_single_generator_quotients_match_the_references():
+    """All 76 single-generator congruences of B4, through both references
+    and the whole-group scan."""
+    arcs = forcing._all_arcs(4)
+    assert len(arcs) == 76
+    for arc in arcs:
+        theta = ArcCongruence.from_generators(4, [arc])
+        elements, _classes = assert_quotient_matches_references(theta)
+        assert elements == quotient_words_by_scan(theta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_word_at_decodes_the_signed_words_index(n):
+    assert [forcing._word_at(n, i) for i in range(2**n * math.factorial(n))] == list(signed_words(n))
+
+
 @pytest.mark.parametrize("sides", ["RRRRR", "RLRLR"])
 def test_rank_six_cambrian_elements_match_the_scan(sides):
     theta = catalog.cambrian_congruence(6, catalog.Designation(tuple(sides)))
@@ -678,7 +723,8 @@ def test_store_refuses_rank_seven_before_allocating():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_descent_table_invariants(n):
     """Each entry is a descent of its word, in signed_descent_arcs order, with
-    its arc and the word one step down, one shorter; order sorts by length."""
+    its arc and the word one step down, one shorter; descents[i] is the OR of
+    the word's arc bits; order sorts by length."""
     table = forcing.descent_table(n)
     arcs = forcing.subarc_table(n).arcs
     words = list(signed_words(n))
@@ -692,6 +738,7 @@ def test_descent_table_invariants(n):
         entries = range(table.start[i], table.start[i + 1])
         descents = arcs_of[w]
         assert [arcs[table.arc[j]] for j in entries] == [arc for _k, arc in descents]
+        assert table.descents[i] == functools.reduce(operator.or_, (1 << table.arc[j] for j in entries), 0)
         for j, (k, _arc) in zip(entries, descents):
             lower = list(w)
             if k == "center":

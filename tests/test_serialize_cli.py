@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import random
 import time
@@ -105,6 +107,33 @@ def test_quotient_subcommand():
     code, out = run_cli("quotient", "--congruence", "identity", "--n", "3", "--count")
     assert code == 0 and json.loads(out) == {"count": 48}
     assert run_cli("quotient", "--congruence", "nonsense", "--n", "2", "--count")[0] == 3
+
+
+def quotient_names(n):
+    """identity, full, every Cambrian designation, every nonempty parabolic
+    generator set and the four hom names, at rank n."""
+    names = ["identity", "full"]
+    names += ["cambrian:" + "".join(s) for s in itertools.product("RL", repeat=n - 1)]
+    names += [
+        "parabolic:" + ",".join(f"s{i}" for i in gens)
+        for k in range(1, n + 1)
+        for gens in itertools.combinations(range(n), k)
+    ]
+    return names + list(catalog.HOM_GENERATOR_WORDS)
+
+
+def test_quotient_output_is_pinned():
+    """One digest over the exit code and stdout of quotient --count and
+    --list for every name at n = 1-4 (65 names; a hom name below its rank
+    exits 3 with no output), so that a change of the quotient engine shows
+    as a changed byte."""
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for name in quotient_names(n):
+            for mode in ("--count", "--list"):
+                code, out = run_cli("quotient", "--congruence", name, "--n", str(n), mode)
+                digest.update(f"{name} {n} {mode} {code}\n{out}".encode())
+    assert digest.hexdigest() == "bf6fd91900935c99a908d4714134f6faebead05685b321d395352821629a521e"
 
 
 def test_quotient_json_congruence():

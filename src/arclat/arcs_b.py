@@ -197,12 +197,11 @@ def _lies_right_of(n: int, a: Key, b: Key) -> bool:
 def validate_long_arc(left_end: int, right_end: int, left: Iterable[int], right: Iterable[int]) -> bool:
     """A long arc is drawable iff its unfolded antipodal arcs do not cross
     and the arc read as the right copy really lies right of its antipode."""
-    left, right = frozenset(left), frozenset(right)
-    if left_end == right_end or min(left_end, right_end) < 1 or left & right:
+    try:
+        LongArc(left_end, right_end, frozenset(left), frozenset(right))
+    except InvalidArc:
         return False
-    if not (left <= frozenset(range(1, left_end)) and right <= frozenset(range(1, right_end))):
-        return False
-    return _drawable(left_end, right_end, left, right)
+    return True
 
 
 @lru_cache(maxsize=100000)

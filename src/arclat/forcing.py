@@ -465,15 +465,15 @@ def _first_unclosed(table: ArcTable, mask: int, rows: bool) -> Optional[int]:
 
 
 def congruence_meet(t1: ArcCongruence, t2: ArcCongruence) -> ArcCongruence:
-    if t1.n != t2.n:
-        raise ValueError("congruences on different ranks")
-    return ArcCongruence(t1.n, t1.contracted & t2.contracted)
+    if t1.n != t2.n or type(t1) is not type(t2):
+        raise ValueError("congruences on different ranks or arc models")
+    return type(t1)(t1.n, t1.contracted & t2.contracted)
 
 
 def congruence_join(t1: ArcCongruence, t2: ArcCongruence) -> ArcCongruence:
-    if t1.n != t2.n:
-        raise ValueError("congruences on different ranks")
-    return ArcCongruence(t1.n, t1.contracted | t2.contracted)
+    if t1.n != t2.n or type(t1) is not type(t2):
+        raise ValueError("congruences on different ranks or arc models")
+    return type(t1)(t1.n, t1.contracted | t2.contracted)
 
 
 def meet_irreducible_congruence(n: int, arc: TypeBArc) -> ArcCongruence:
@@ -663,17 +663,12 @@ def descent_table(n: int) -> DescentTable:
     return DescentTable(n)
 
 
-def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
-    """Congruence classes as fibers of the projection map, each in the order
-    of signed_words, ordered by their first members.  The lists are new on
-    every call; their elements are the descent table's shared ones, the
-    whole group, built once per rank.
-
-    A word is its class bottom when none of its descent arcs is contracted,
-    one AND of its descent bitmask with theta.mask; otherwise it shares the
-    bottom of the word below its first contracted descent, which comes
-    earlier in the descent table's order.
-    """
+def _class_bottoms(theta: ArcCongruence) -> Tuple[DescentTable, List[int]]:
+    """The descent table of theta's rank, and bottom[i], the index of the
+    class bottom of word i.  A word is its class bottom when none of its
+    descent arcs is contracted, one AND of its descent bitmask with
+    theta.mask; otherwise it shares the bottom of the word below its first
+    contracted descent, which comes earlier in the descent table's order."""
     table, mask = descent_table(theta.n), _signed_mask(theta)
     start, arc, lower, descents = table.start, table.arc, table.lower, table.descents
     bottom = list(range(len(table.order)))
@@ -683,6 +678,15 @@ def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
             while not mask >> arc[j] & 1:
                 j += 1
             bottom[i] = bottom[lower[j]]
+    return table, bottom
+
+
+def element_partition(theta: ArcCongruence) -> List[List[SignedPermutation]]:
+    """Congruence classes as fibers of the projection map, each in the order
+    of signed_words, ordered by their first members.  The lists are new on
+    every call; their elements are the descent table's shared ones, the
+    whole group, built once per rank."""
+    table, bottom = _class_bottoms(theta)
     fibers: Dict[int, List[SignedPermutation]] = {b: [] for b in bottom}
     for b, pi in zip(bottom, table.elements):
         fibers[b].append(pi)
@@ -696,16 +700,28 @@ def check_lattice_rank(n: int) -> None:
 
 
 def quotient_lattice(theta: ArcCongruence) -> FiniteLattice:
-    """The quotient as the subposet of the weak order on class bottoms."""
+    """The quotient as the subposet of the weak order on class bottoms, in
+    the order of signed_words.  A bottom x covers exactly the bottoms
+    pi(y) of its lower covers y in the weak order, pi the projection to the
+    class bottom; none of x's descents is contracted, so each y lies in
+    another class.  Classes are intervals and pi is order-preserving and
+    fixes bottoms (Reading, Lattice congruences of the weak order, Order
+    21, 2004).
+
+    Each pi(y) is covered by x among the bottoms.  pi(y) <= y < x; take a
+    bottom w with pi(y) <= w < x.  Then w' = (w v y) ^ x lies in [y, x], so
+    w' is y or x, and its class is ([w] v [y]) ^ [x] = [w], since [y] =
+    [pi(y)] <= [w] <= [x].  So w is pi(y) (if w' = y) or x (if w' = x,
+    excluded): no bottom lies strictly between.  Conversely, each lower
+    cover z of x among the bottoms is some pi(y): some y covered by x lies
+    above z, so z = pi(z) <= pi(y) < x, and z = pi(y) as z is covered.
+    """
     check_lattice_rank(theta.n)
-    elems = quotient_elements(theta)
-    inv = {pi: pi.inversions() for pi in elems}
-    lower = {pi: [q for q in elems if inv[q] < inv[pi]] for pi in elems}
-    covers = [
-        (q, pi) for pi in elems for q in lower[pi]
-        if not any(inv[q] < inv[r] for r in lower[pi])
-    ]
-    return build_lattice(covers, elems)
+    table, bottom = _class_bottoms(theta)
+    start, lower, elems = table.start, table.lower, table.elements
+    bottoms = [i for i, b in enumerate(bottom) if b == i]
+    covers = [(elems[bottom[lower[j]]], elems[i]) for i in bottoms for j in range(start[i], start[i + 1])]
+    return build_lattice(covers, [elems[i] for i in bottoms])
 
 
 def all_congruences(n: int) -> List[ArcCongruence]:

@@ -69,11 +69,34 @@ class FiniteLattice:
         rank_of = {old: new for new, old in enumerate(order)}
         self._build([labels[i] for i in order], [sorted(rank_of[j] for j in below[order[i]]) for i in range(n)])
 
+        # Only joins with join-irreducibles are checked.  A finite poset with
+        # a bottom in which every pair has a join is a lattice, since the
+        # meet of a and b is the join of their common lower bounds
+        # (Davey-Priestley, Introduction to Lattices and Order, ch. 2).  And
+        # every pair has a join once every pair (a, j) with j join-irreducible
+        # has one.  Proof, by induction on b in id order, for all a at once:
+        # a v bottom = a, and a join-irreducible b is checked.  Any other b
+        # has two lower covers c1 != c2, which precede b, so c1 v c2 exists;
+        # it lies above c1, not at c1 (else c2 < c1 < b), and below b, which
+        # covers c1, so c1 v c2 = b.  The upper bounds of {a, b} are then
+        # those of {a, c1, c2}, that is of {a v c1, c2}, which have a least
+        # element because c2 precedes b.  The upper bounds m = up[a] & up[j]
+        # are an up-set, never empty since _build checks the top, so they
+        # hold up[low] for their lowest id low, and low is their least
+        # element iff m == up[low].
+        up = self.up
+        for a, ua in enumerate(up):
+            for j in self.jis:
+                m = ua & up[j]
+                if m != up[(m & -m).bit_length() - 1]:
+                    raise NotALattice((self.labels[min(a, j)], self.labels[max(a, j)]))
+
     @classmethod
     def _on_ids(cls, labels: list, covers_down: list) -> "FiniteLattice":
-        """The lattice whose element i is labels[i] with lower covers
-        covers_down[i], ascending ids that all precede i; every check of the
-        constructor runs."""
+        """The poset whose element i is labels[i] with lower covers
+        covers_down[i], ascending ids that all precede i.  Every check of
+        the constructor runs but the (a, j) join check: its one caller,
+        quotient, proves the joins by its homomorphism check."""
         lat = cls.__new__(cls)
         lat._build(labels, covers_down)
         return lat
@@ -120,28 +143,6 @@ class FiniteLattice:
 
         self.jis = tuple(i for i in range(n) if len(self.covers_down[i]) == 1)
         self.ji_mask = sum(1 << j for j in self.jis)
-
-        # Only joins with join-irreducibles are checked.  A finite poset with
-        # a bottom in which every pair has a join is a lattice, since the
-        # meet of a and b is the join of their common lower bounds
-        # (Davey-Priestley, Introduction to Lattices and Order, ch. 2).  And
-        # every pair has a join once every pair (a, j) with j join-irreducible
-        # has one.  Proof, by induction on b in id order, for all a at once:
-        # a v bottom = a, and a join-irreducible b is checked.  Any other b
-        # has two lower covers c1 != c2, which precede b, so c1 v c2 exists;
-        # it lies above c1, not at c1 (else c2 < c1 < b), and below b, which
-        # covers c1, so c1 v c2 = b.  The upper bounds of {a, b} are then
-        # those of {a, c1, c2}, that is of {a v c1, c2}, which have a least
-        # element because c2 precedes b.  The upper bounds m = up[a] & up[j]
-        # are an up-set, never empty since the top is checked above, so they
-        # hold up[low] for their lowest id low, and low is their least
-        # element iff m == up[low].
-        for a in range(n):
-            ua = up[a]
-            for j in self.jis:
-                m = ua & up[j]
-                if m != up[(m & -m).bit_length() - 1]:
-                    raise NotALattice((self.labels[min(a, j)], self.labels[max(a, j)]))
         self._cjr: dict = {}
         self._forcing: Optional[tuple] = None
 
@@ -402,6 +403,19 @@ def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
     pi(a v x) = pi((a v y) v j) = pi(a) v pi(y) v pi(j) = pi(a) v pi(x).
     Since pi fixes the class bottoms, this includes [a] v [b] = [a v b] for
     every pair of class bottoms a and b.
+
+    The check also proves that Q, the class bottoms under the order of L,
+    is a lattice, so Q runs no join check of its own.  Each pi(a v j) it
+    accepts is the lowest id of the common up-set of pi(a) and pi(j) in Q,
+    so pi(a v j) >= pi(a) in Q.
+    - pi is order-preserving: if b <= c, then c is b joined with the
+      join-irreducibles j1, ..., jk below c, and the chain of (a, j) steps
+      b <= b v j1 <= ... <= c gives pi(b) <= pi(b v j1) <= ... <= pi(c).
+    - For bottoms x and y, pi(x v y) is their least upper bound in Q: it
+      lies above pi(x) = x and pi(y) = y, and any bottom z above both lies
+      above x v y, so z = pi(z) >= pi(x v y).
+    Q has a bottom (checked on construction) and a join for every pair, so
+    it is a lattice.
     """
     bottoms = sorted(set(theta.class_of))
     mask_all = sum(1 << b for b in bottoms)

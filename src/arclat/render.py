@@ -89,12 +89,10 @@ def layout(diagram: DiagramB) -> dict:
         paths[key] = [(0.0, float(top))] + lanes + [end]
     # stitch long-arc halves through the bottom
     merged = {}
-    done = set()
     for key, nodes in sorted(paths.items()):
         if key[0] == "l":
             other = ("r",) + key[1:2] + ("right",)
             merged[("long", key[1])] = nodes + [(0.0, nodes[-1][1])] + list(reversed(paths[other]))
-            done.add(other)
         elif key[0] != "r":
             merged[key] = nodes
     return {

@@ -12,6 +12,7 @@ from arclat import arcs_a, arcs_b, catalog, forcing, lattice as lat
 from arclat.arcs_b import LongArc, OrbifoldArc, OrdinaryArc
 from arclat.forcing import (
     ArcCongruence,
+    ArcCongruenceA,
     NotInConA,
     congruence_join,
     congruence_meet,
@@ -296,11 +297,53 @@ def test_quotient_matches_order_engine():
     assert lat.is_isomorphic(q1, q2)
 
 
+def quotient_lattice_by_inversion_sets(theta):
+    """The quotient lattice as quotient_lattice first built it: pi covers q
+    when q's inversion set lies strictly inside pi's and no third quotient
+    element's lies strictly between them."""
+    elems = forcing.quotient_elements(theta)
+    inv = {pi: pi.inversions() for pi in elems}
+    lower = {pi: [q for q in elems if inv[q] < inv[pi]] for pi in elems}
+    covers = [
+        (q, pi) for pi in elems for q in lower[pi]
+        if not any(inv[q] < inv[r] for r in lower[pi])
+    ]
+    return lat.build_lattice(covers, elems)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quotient_lattice_matches_the_inversion_set_scan(n):
+    """The identity, and the congruence generated by each single arc."""
+    table = forcing.subarc_table(n)
+    thetas = [ArcCongruence.identity(n)] + [ArcCongruence.from_generators(n, [a]) for a in table.arcs]
+    for theta in thetas:
+        q, ref = forcing.quotient_lattice(theta), quotient_lattice_by_inversion_sets(theta)
+        assert q.labels == ref.labels and q.covers() == ref.covers(), theta
+
+
 def test_congruence_meet_join():
     t1 = catalog.parabolic_congruence(3, [0])
     ident = ArcCongruence.identity(3)
     assert congruence_meet(t1, ident).contracted == frozenset()
     assert congruence_join(t1, t1).contracted == t1.contracted
+
+
+def test_congruence_meet_join_keep_the_arc_model():
+    """Meets and joins of the congruences on the arcs on -2, -1, 1, 2
+    generated by one arc each are congruences of that model too, and a
+    congruence of the other model is refused."""
+    table = forcing.symmetric_subarc_table(2)
+    thetas = [ArcCongruenceA.from_generators(2, [a]) for a in table.arcs]
+    for t1, t2 in itertools.product(thetas, repeat=2):
+        meet, join = congruence_meet(t1, t2), congruence_join(t1, t2)
+        assert type(meet) is type(join) is ArcCongruenceA
+        assert meet.contracted == t1.contracted & t2.contracted
+        assert join.contracted == t1.contracted | t2.contracted
+    for op in (congruence_meet, congruence_join):
+        with pytest.raises(ValueError):
+            op(thetas[0], ArcCongruence.identity(2))
+        with pytest.raises(ValueError):
+            op(ArcCongruence.full(2), thetas[0])
 
 
 def test_meet_irreducible_congruence():

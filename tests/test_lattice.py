@@ -743,3 +743,30 @@ def test_quotient_matches_the_label_pair_build(n):
         assert by_label(quotient(W, theta)) == by_label(quotient_by_label_pairs(W, theta))
         count += 1
     assert count == {2: 19, 3: 23, 4: 76}[n]
+
+
+def test_quotient_of_a_random_partition_is_rejected_or_matches_every_check():
+    """Seeded random partitions of the random meet-closed lattices, most of
+    them no congruence.  quotient runs no join check on the class bottoms,
+    so each partition it accepts must give what the label-pair build, which
+    runs every check, gives.  All three outcomes occur: accepted with more
+    than one class and fewer than all, rejected while the bottoms form a
+    lattice, and rejected because they do not."""
+    rng = random.Random(16)
+    outcomes = {"accepted": 0, "bottoms a lattice": 0, "bottoms no lattice": 0}
+    for L in random_meet_closed_lattices():
+        for _ in range(20):
+            k = rng.randint(1, L.n)
+            theta = Congruence(L, [rng.randrange(k) for _ in range(L.n)])
+            try:
+                expect = by_label(quotient_by_label_pairs(L, theta))
+            except NotALattice:
+                expect = None
+            try:
+                q = quotient(L, theta)
+            except NotALattice:
+                outcomes["bottoms a lattice" if expect else "bottoms no lattice"] += 1
+                continue
+            assert by_label(q) == expect, (L.labels, theta.class_of)
+            outcomes["accepted"] += 1 < q.n < L.n
+    assert min(outcomes.values()) > 100, outcomes

@@ -136,6 +136,18 @@ def test_quotient_output_is_pinned():
     assert digest.hexdigest() == "bf6fd91900935c99a908d4714134f6faebead05685b321d395352821629a521e"
 
 
+def test_quotient_hasse_output_is_pinned():
+    """One digest over the exit code and stdout of quotient --hasse for
+    every name at n = 1-4, as test_quotient_output_is_pinned, so that a
+    change of how the quotient lattice is built shows as a changed byte."""
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for name in quotient_names(n):
+            code, out = run_cli("quotient", "--congruence", name, "--n", str(n), "--hasse")
+            digest.update(f"{name} {n} --hasse {code}\n{out}".encode())
+    assert digest.hexdigest() == "e7b8dfd703f3950446fd38627e637765e129553c29b1eef74863069106d5a7c5"
+
+
 def test_quotient_json_congruence():
     theta = catalog.parabolic_congruence(2, [0])
     text = json.dumps(serialize.congruence_to_json(theta))

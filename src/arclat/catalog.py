@@ -159,7 +159,7 @@ def cambrian_congruence(n: int, d: Designation) -> ArcCongruence:
     if d.n != n:
         raise ValueError("designation size mismatch")
     rights, lefts = d.right_points(), d.left_points()
-    return ArcCongruence(n, _arcs_where(n, lambda arc: _cambrian_contracts(arc, rights, lefts)))
+    return ArcCongruence.from_arcs(n, _arcs_where(n, lambda arc: _cambrian_contracts(arc, rights, lefts)))
 
 
 def _avoids(pi: SignedPermutation, order: Tuple[int, int, int], mids: frozenset) -> bool:

@@ -1,18 +1,19 @@
 """Subarc order, arrows, and congruences encoded by contracted arcs.
 
 Contracting the join-irreducible of an arc forces contracting every
-superarc, so a congruence is stored as an up-closed set of contracted arcs;
-meets and joins of congruences are then set operations.  Element-level
-consequences run on integers: class bottoms are the words with no contracted
-descent, found by a search over integer states that drops a suffix at its
-first one; classes follow one descent table per rank, where one AND of bit
-masks finds the words that join the class of the word below a descent.
+superarc, so a congruence is an up-closed set of contracted arcs, stored as
+its bitmask over one arc table per rank; meets and joins of congruences are
+then AND and OR.  Element-level consequences run on integers: class bottoms
+are the words with no contracted descent, found by a search over integer
+states that drops a suffix at its first one; classes follow one descent
+table per rank, where one AND of bit masks finds the words that join the
+class of the word below a descent.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import factorial
 from operator import or_
@@ -409,24 +410,33 @@ def symmetric_subarc_table(n: int) -> ArcTable:
 
 @dataclass(frozen=True)
 class ArcCongruence:
-    """A congruence of the type-B weak order as its contracted arc set."""
+    """A congruence of the type-B weak order as the bitmask of its contracted
+    arcs: bit i stands for table(n).arcs[i]."""
 
     n: int
-    contracted: frozenset
-    mask: int = field(init=False, repr=False, compare=False)  # bit i: table(n).arcs[i]
+    mask: int
 
     table = staticmethod(subarc_table)
 
     def __post_init__(self):
         # Up-closure on the cheaper side: contracted rows or uncontracted
         # columns, whichever costs less to compute.
-        table = self.table(self.n)
-        mask = table.mask(self.contracted)
-        object.__setattr__(self, "mask", mask)
+        table, mask = self.table(self.n), self.mask
+        if mask < 0 or mask & ~table.full:
+            raise ValueError(f"mask {mask:#x} has bits outside the {len(table.arcs)} arcs on {self.n} points")
         rows = table.cost(mask, True) <= table.cost(table.full & ~mask, False)
         bad = _first_unclosed(table, mask, rows)
         if bad is not None:
             raise ValueError(f"contracted set not closed above {table.arcs[bad]}")
+
+    @classmethod
+    def from_arcs(cls, n: int, arcs: Iterable) -> "ArcCongruence":
+        """The congruence contracting exactly the given arcs."""
+        return cls(n, cls.table(n).mask(arcs))
+
+    @cached_property
+    def contracted(self) -> frozenset:
+        return self.table(self.n).arcs_of(self.mask)
 
     @cached_property
     def contracted_keys(self) -> frozenset:
@@ -437,19 +447,20 @@ class ArcCongruence:
 
     @classmethod
     def identity(cls, n: int) -> "ArcCongruence":
-        return cls(n, frozenset())
+        return cls(n, 0)
 
     @classmethod
     def full(cls, n: int) -> "ArcCongruence":
-        return cls(n, frozenset(cls.table(n).arcs))
+        return cls(n, cls.table(n).full)
 
     @classmethod
     def from_generators(cls, n: int, gens: Iterable) -> "ArcCongruence":
         table = cls.table(n)
-        return cls(n, table.arcs_of(table.up(table.mask(gens))))
+        return cls(n, table.up(table.mask(gens)))
 
     def uncontracted(self) -> frozenset:
-        return frozenset(self.table(self.n).arcs) - self.contracted
+        table = self.table(self.n)
+        return table.arcs_of(table.full & ~self.mask)
 
     def __contains__(self, arc) -> bool:
         return arc in self.contracted
@@ -467,20 +478,20 @@ def _first_unclosed(table: ArcTable, mask: int, rows: bool) -> Optional[int]:
 def congruence_meet(t1: ArcCongruence, t2: ArcCongruence) -> ArcCongruence:
     if t1.n != t2.n or type(t1) is not type(t2):
         raise ValueError("congruences on different ranks or arc models")
-    return type(t1)(t1.n, t1.contracted & t2.contracted)
+    return type(t1)(t1.n, t1.mask & t2.mask)
 
 
 def congruence_join(t1: ArcCongruence, t2: ArcCongruence) -> ArcCongruence:
     if t1.n != t2.n or type(t1) is not type(t2):
         raise ValueError("congruences on different ranks or arc models")
-    return type(t1)(t1.n, t1.contracted | t2.contracted)
+    return type(t1)(t1.n, t1.mask | t2.mask)
 
 
 def meet_irreducible_congruence(n: int, arc: TypeBArc) -> ArcCongruence:
     """The coarsest congruence not contracting the given arc: its
     uncontracted arcs are exactly the subarcs of the arc."""
     table = subarc_table(n)
-    return ArcCongruence(n, table.arcs_of(table.full & ~table.col(table.index[arc])))
+    return ArcCongruence(n, table.full & ~table.col(table.index[arc]))
 
 
 # project no longer reads this cache; it stays for benchmark cache reports.
@@ -728,7 +739,7 @@ def all_congruences(n: int) -> List[ArcCongruence]:
     """Every congruence: up-closed subsets of the subarc order."""
     table = subarc_table(n)
     rows = [table.row(i) | 1 << i for i in range(len(table.arcs))]
-    return [ArcCongruence(n, table.arcs_of(mask)) for mask in closed_sets(rows)]
+    return [ArcCongruence(n, mask) for mask in closed_sets(rows)]
 
 
 class ArcCongruenceA(ArcCongruence):
@@ -752,9 +763,8 @@ def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...
 def is_in_con_a(theta: ArcCongruence) -> bool:
     """True iff the uncontracted set is closed under passing to loose subarcs,
     that is, the contracted set is up-closed in the loose subarc order."""
-    table = loose_subarc_table(theta.n)
-    mask = table.mask(theta.contracted)
-    return table.up(mask) & ~mask == 0
+    mask = _signed_mask(theta)  # the loose table indexes the same arcs
+    return loose_subarc_table(theta.n).up(mask) & ~mask == 0
 
 
 def unfolded_lift(theta: ArcCongruence) -> Optional[ArcCongruenceA]:

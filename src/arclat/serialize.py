@@ -1,6 +1,8 @@
-"""JSON schemas for arcs, diagrams, congruences, designations, partitions.
+"""JSON schemas for arcs, diagrams, congruences and permutations.
 
-These are the only wire formats; the CLI reads and writes nothing else.
+These are the only wire formats; the CLI reads and writes nothing else.  A
+congruence is written as its contracted arcs and read back through
+ArcCongruence.from_arcs, which turns them into its stored bitmask.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from typing import Iterable
 from . import arcs_a, arcs_b
 from .arcs_a import ArcA, DiagramA
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc
-from .catalog import Designation, NCBlock, NCPartitionB
 from .forcing import ArcCongruence
 from .permutations import Permutation, SignedPermutation
 
@@ -111,38 +112,7 @@ def congruence_to_json(theta: ArcCongruence) -> dict:
 
 
 def congruence_from_json(data: dict) -> ArcCongruence:
-    return ArcCongruence(
-        _int(data["n"]), frozenset(arc_b_from_json(a) for a in data["contracted"])
-    )
-
-
-def designation_to_json(d: Designation) -> dict:
-    return {str(i): d.side(i) for i in range(1, d.n)}
-
-
-def designation_from_json(data: dict) -> Designation:
-    sides = [data[str(i)] for i in range(1, len(data) + 1)]
-    return Designation(tuple(sides))
-
-
-def ncp_to_json(part: NCPartitionB) -> dict:
-    blocks = []
-    for blk in part.blocks:
-        entry = {"points": sorted(blk.points), "kind": blk.kind}
-        if blk.pieces is not None:
-            entry["pieces"] = [sorted(blk.pieces[0]), sorted(blk.pieces[1])]
-        blocks.append(entry)
-    return {"n": part.n, "blocks": blocks}
-
-
-def ncp_from_json(data: dict) -> NCPartitionB:
-    blocks = []
-    for entry in data["blocks"]:
-        pieces = None
-        if "pieces" in entry:
-            pieces = (_ints(entry["pieces"][0]), _ints(entry["pieces"][1]))
-        blocks.append(NCBlock(_ints(entry["points"]), entry["kind"], pieces))
-    return NCPartitionB(_int(data["n"]), tuple(blocks))
+    return ArcCongruence.from_arcs(_int(data["n"]), map(arc_b_from_json, data["contracted"]))
 
 
 def permutation_to_json(pi) -> list:

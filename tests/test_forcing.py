@@ -236,12 +236,59 @@ def test_congruence_from_generators_examples():
 def test_up_closure_validation():
     s0 = OrbifoldArc(1, frozenset())
     with pytest.raises(ValueError):
-        ArcCongruence(3, frozenset([s0]))
+        ArcCongruence.from_arcs(3, [s0])
 
 
 def test_contracted_arcs_must_fit():
     with pytest.raises(ValueError, match="does not fit"):
-        ArcCongruence(2, frozenset([OrbifoldArc(5, frozenset())]))
+        ArcCongruence.from_arcs(2, [OrbifoldArc(5, frozenset())])
+
+
+@pytest.mark.parametrize("cls,n", [(ArcCongruence, 2), (ArcCongruence, 3), (ArcCongruenceA, 2)])
+def test_masks_outside_the_table_are_refused(cls, n):
+    full = cls.table(n).full
+    assert cls(n, full).mask == full
+    for mask in (full + 1, 1 << full.bit_length(), -1, -full - 1):
+        with pytest.raises(ValueError, match="bits outside"):
+            cls(n, mask)
+
+
+def test_from_arcs_gives_back_the_stored_congruence():
+    for theta in forcing.all_congruences(2) + [catalog.hom_congruence(3, "nonhom")]:
+        back = ArcCongruence.from_arcs(theta.n, theta.contracted)
+        assert back == theta and hash(back) == hash(theta)
+        assert back.contracted == theta.contracted
+        assert back.uncontracted() == frozenset(arcs_b.all_arcs(theta.n)) - theta.contracted
+
+
+def _generated_sample(n, count, seed):
+    arcs = arcs_b.all_arcs(n)
+    rng = random.Random(seed)
+    return [ArcCongruence.from_generators(n, rng.sample(arcs, rng.randint(1, 3))) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        lambda: itertools.product(forcing.all_congruences(2), repeat=2),
+        lambda: zip(_generated_sample(3, 150, 5), _generated_sample(3, 150, 6)),
+    ],
+    ids=["B2-every-pair", "B3-seeded"],
+)
+def test_meet_and_join_are_the_intersection_and_union(pairs):
+    seen = 0
+    for t1, t2 in pairs():
+        meet, join = congruence_meet(t1, t2), congruence_join(t1, t2)
+        assert meet.contracted == t1.contracted & t2.contracted
+        assert join.contracted == t1.contracted | t2.contracted
+        seen += 1
+    assert seen >= 150
+
+
+def test_con_a_membership_refuses_the_symmetric_model():
+    theta = ArcCongruenceA.from_generators(2, forcing.symmetric_subarc_table(2).arcs[:1])
+    with pytest.raises(TypeError, match="not a congruence of the signed weak order"):
+        is_in_con_a(theta)
 
 
 @pytest.mark.parametrize(
@@ -459,10 +506,10 @@ def _symmetric_arcs(n):
 def test_symmetric_congruence_validation():
     centre = next(a for a in _symmetric_arcs(2) if (a.bottom, a.top) == (-1, 1))
     with pytest.raises(ValueError, match="not closed above"):
-        forcing.ArcCongruenceA(2, frozenset([centre]))
+        forcing.ArcCongruenceA.from_arcs(2, [centre])
     wide = next(a for a in _symmetric_arcs(3) if (a.bottom, a.top) == (-3, 3))
     with pytest.raises(ValueError, match="does not fit"):
-        forcing.ArcCongruenceA(2, frozenset([wide]))
+        forcing.ArcCongruenceA.from_arcs(2, [wide])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -814,10 +861,10 @@ def test_validation_matches_the_row_check_on_both_sides():
         closed = closed_above_by_rows(arcs, contracted)
         seen.add((2 * len(contracted) <= len(arcs), closed))
         if closed:
-            assert ArcCongruence(3, contracted).contracted == contracted
+            assert ArcCongruence.from_arcs(3, contracted).contracted == contracted
         else:
             with pytest.raises(ValueError, match="not closed above"):
-                ArcCongruence(3, contracted)
+                ArcCongruence.from_arcs(3, contracted)
     assert seen == {(small, closed) for small in (True, False) for closed in (True, False)}
 
 
@@ -844,7 +891,7 @@ def test_rows_and_columns_find_the_same_first_unclosed_arc(cls, n):
         assert forcing._first_unclosed(table, mask, True) == expect
         assert forcing._first_unclosed(table, mask, False) == expect
         with pytest.raises(ValueError, match=f"not closed above {re.escape(str(table.arcs[expect]))}$"):
-            cls(n, table.arcs_of(mask))
+            cls.from_arcs(n, table.arcs_of(mask))
     assert len(lows) > 1
 
 
@@ -862,8 +909,8 @@ def test_all_but_one_arc_is_closed_exactly_at_minimal_arcs(cls, n, subarc):
         contracted = frozenset(arcs) - {a}
         if any(b != a and subarc(b, a) for b in arcs):
             with pytest.raises(ValueError, match="not closed above"):
-                cls(n, contracted)
+                cls.from_arcs(n, contracted)
         else:
             minimal += 1
-            assert cls(n, contracted).uncontracted() == {a}
+            assert cls.from_arcs(n, contracted).uncontracted() == {a}
     assert 0 < minimal < len(arcs)

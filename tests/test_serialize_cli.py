@@ -9,7 +9,6 @@ import time
 import pytest
 
 from arclat import arcs_a, arcs_b, catalog, cli, forcing, serialize, verify
-from arclat.catalog import Designation
 from arclat.permutations import SignedPermutation, all_signed_permutations
 
 
@@ -39,19 +38,6 @@ def test_diagram_and_congruence_roundtrip(n):
     for theta in forcing.all_congruences(n):
         back = serialize.congruence_from_json(serialize.congruence_to_json(theta))
         assert back.contracted == theta.contracted
-
-
-def test_designation_and_ncp_roundtrip():
-    d = Designation(("R", "L"))
-    assert serialize.designation_from_json(serialize.designation_to_json(d)) == d
-    theta = catalog.cambrian_congruence(3, d)
-    for pi in forcing.quotient_elements(theta):
-        part = catalog.ncp_of_diagram(arcs_b.diagram_of_signed(pi), d)
-        assert serialize.ncp_from_json(serialize.ncp_to_json(part)) == part
-    data = serialize.ncp_to_json(part)
-    data["blocks"][0]["points"][0] += 0.5
-    with pytest.raises(ValueError, match="expected an integer"):
-        serialize.ncp_from_json(data)
 
 
 def test_map_subcommand_b():
@@ -146,6 +132,18 @@ def test_quotient_hasse_output_is_pinned():
             code, out = run_cli("quotient", "--congruence", name, "--n", str(n), "--hasse")
             digest.update(f"{name} {n} --hasse {code}\n{out}".encode())
     assert digest.hexdigest() == "e7b8dfd703f3950446fd38627e637765e129553c29b1eef74863069106d5a7c5"
+
+
+def test_verify_reports_are_pinned():
+    """One digest over the exit code and stdout of the verify suites whose
+    reports print text derived from congruences: bicambrian at n = 3 and 4
+    (reported failing, listing the arcs the quoted linear generators miss),
+    hom, cambrian and con-a."""
+    digest = hashlib.sha256()
+    for suite, n in (("bicambrian", 3), ("bicambrian", 4), ("hom", 3), ("cambrian", 3), ("con-a", 2)):
+        code, out = run_cli("verify", "--suite", suite, "--n", str(n))
+        digest.update(f"{suite} {n} {code}\n{out}".encode())
+    assert digest.hexdigest() == "ca7f30225eb7051dfee840ceeb43e41da7f209f9b84413c75950f005c2ef6117"
 
 
 def test_quotient_json_congruence():
@@ -324,6 +322,7 @@ REFUSED = [
     ["verify", "--suite", "forcing-closure", "--n", "7"],
     ["enumerate", "--what", "arcs", "--n", "10"],
     ["enumerate", "--what", "arcs", "--type", "a", "--n", "17"],
+    ["render", "--diagram", '{"n":1001,"arcs":[]}', "--format", "ascii"],
 ]
 
 

@@ -14,8 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .lattice import ScopeExceeded
-from .util import between, components
+from .util import ScopeExceeded, between, components
 
 Word = Tuple[int, ...]
 
@@ -226,35 +225,43 @@ def is_subarc(sub: ArcA, sup: ArcA) -> bool:
 
 
 @dataclass(frozen=True)
-class ShardDescriptorA:
-    """Inequality description x_p = x_q, x_p <= x_i (i in leq), x_p >= x_i (i in geq)."""
+class ShardDescriptor:
+    """Inequality description of the cone attached to an arc, in either model.
 
-    p: int
-    q: int
+    equality is ("zero", p): x_p = 0, ("diff", p, q): x_p = x_q, or
+    ("sum", p, q): x_q = -x_p; a type-A arc, like an ordinary quotient arc,
+    has ("diff", bottom, top).  Bounds are stored as signed indices i with
+    x_key <= x_i (leq) or x_key >= x_i (geq), where x_{-i} means -x_i.
+    """
+
+    equality: tuple
     leq: frozenset
     geq: frozenset
 
     def linear_forms(self, n: int) -> tuple:
         """(equality normal, inequality normals meaning v.x >= 0) in R^n."""
-        eq = [0] * n
-        eq[self.p - 1] += 1
-        eq[self.q - 1] -= 1
-        ineqs = []
-        for i in sorted(self.leq):
+        def e(i: int) -> list:
             v = [0] * n
-            v[i - 1] += 1
-            v[self.p - 1] -= 1
-            ineqs.append(tuple(v))
-        for i in sorted(self.geq):
-            v = [0] * n
-            v[self.p - 1] += 1
-            v[i - 1] -= 1
-            ineqs.append(tuple(v))
+            v[abs(i) - 1] = 1 if i > 0 else -1
+            return v
+
+        kind = self.equality[0]
+        if kind == "zero":
+            eq = e(self.equality[1])
+            key = [0] * n
+        elif kind == "diff":
+            eq = [a - b for a, b in zip(e(self.equality[1]), e(self.equality[2]))]
+            key = e(self.equality[1])
+        else:
+            eq = [a + b for a, b in zip(e(self.equality[1]), e(self.equality[2]))]
+            key = e(self.equality[2])
+        ineqs = [tuple(a - b for a, b in zip(e(i), key)) for i in sorted(self.leq)]
+        ineqs += [tuple(b - a for a, b in zip(e(i), key)) for i in sorted(self.geq)]
         return tuple(eq), tuple(ineqs)
 
 
-def shard_descriptor(arc: ArcA) -> ShardDescriptorA:
-    return ShardDescriptorA(arc.bottom, arc.top, arc.right, arc.left)
+def shard_descriptor(arc: ArcA) -> ShardDescriptor:
+    return ShardDescriptor(("diff", arc.bottom, arc.top), arc.right, arc.left)
 
 
 def half_turn(diagram: DiagramA) -> DiagramA:

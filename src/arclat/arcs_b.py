@@ -17,10 +17,9 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from . import arcs_a
-from .arcs_a import ArcA, DiagramA
-from .lattice import InvariantError, ScopeExceeded
+from .arcs_a import ArcA, DiagramA, ShardDescriptor
 from .permutations import SignedPermutation, fold, is_join_irreducible_signed
-from .util import between, bits
+from .util import InvariantError, ScopeExceeded, between, bits
 
 Word = Tuple[int, ...]
 Key = Tuple[int, int, int]
@@ -113,9 +112,6 @@ class LongArc:
     def between_pieces(self) -> frozenset:
         lo = min(self.left_end, self.right_end)
         return frozenset(range(1, lo)) - self.left - self.right
-
-    def endpoints(self) -> frozenset:
-        return frozenset((self.left_end, self.right_end))
 
     def key(self) -> tuple:
         return (2, self.left_end, self.right_end, tuple(sorted(self.left)), tuple(sorted(self.right)))
@@ -520,50 +516,16 @@ def all_diagrams(n: int) -> List[DiagramB]:
     return out
 
 
-@dataclass(frozen=True)
-class ShardDescriptorB:
-    """Inequality description of the cone attached to a quotient arc.
-
-    equality is ("zero", p): x_p = 0, ("diff", p, q): x_p = x_q, or
-    ("sum", p, q): x_q = -x_p.  Bounds are stored as signed indices i with
-    x_key <= x_i (leq) or x_key >= x_i (geq), where x_{-i} means -x_i.
-    """
-
-    equality: tuple
-    leq: frozenset
-    geq: frozenset
-
-    def linear_forms(self, n: int) -> tuple:
-        def e(i: int) -> list:
-            v = [0] * n
-            v[abs(i) - 1] = 1 if i > 0 else -1
-            return v
-
-        kind = self.equality[0]
-        if kind == "zero":
-            eq = e(self.equality[1])
-            key = [0] * n
-        elif kind == "diff":
-            eq = [a - b for a, b in zip(e(self.equality[1]), e(self.equality[2]))]
-            key = e(self.equality[1])
-        else:
-            eq = [a + b for a, b in zip(e(self.equality[1]), e(self.equality[2]))]
-            key = e(self.equality[2])
-        ineqs = [tuple(a - b for a, b in zip(e(i), key)) for i in sorted(self.leq)]
-        ineqs += [tuple(b - a for a, b in zip(e(i), key)) for i in sorted(self.geq)]
-        return tuple(eq), tuple(ineqs)
-
-
-def shard_descriptor(arc: TypeBArc) -> ShardDescriptorB:
+def shard_descriptor(arc: TypeBArc) -> ShardDescriptor:
     if isinstance(arc, OrbifoldArc):
-        return ShardDescriptorB(
+        return ShardDescriptor(
             ("zero", arc.top), frozenset(arc.right), frozenset(arc.left)
         )
     if isinstance(arc, OrdinaryArc):
-        return ShardDescriptorB(
+        return ShardDescriptor(
             ("diff", arc.bottom, arc.top), frozenset(arc.right), frozenset(arc.left)
         )
     p, q = arc.left_end, arc.right_end
     leq = frozenset(arc.right) | frozenset(-v for v in arc.left)
     universe = frozenset(range(1, q)) | frozenset(-v for v in range(1, p))
-    return ShardDescriptorB(("sum", p, q), leq, universe - leq)
+    return ShardDescriptor(("sum", p, q), leq, universe - leq)

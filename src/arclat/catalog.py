@@ -11,9 +11,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import arcs_b, forcing
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc
 from .forcing import ArcCongruence, congruence_meet
-from .lattice import ScopeExceeded
 from .permutations import SignedPermutation, evaluate_word_b
-from .util import between, components
+from .util import ScopeExceeded, between, components
 
 
 class MalformedPartition(ValueError):
@@ -68,22 +67,6 @@ def parabolic_congruence(n: int, gens: Iterable[int]) -> ArcCongruence:
     if any(not 0 <= i < n for i in gens):
         raise ValueError(f"generators must lie in 0..{n - 1}, got {gens}")
     return ArcCongruence.from_generators(n, [simple_arc(i, n) for i in gens])
-
-
-def _parabolic_contracts(arc: TypeBArc, i: int) -> bool:
-    if i == 0:
-        return not isinstance(arc, OrdinaryArc)
-    if isinstance(arc, OrdinaryArc):
-        return arc.bottom <= i < arc.top
-    if isinstance(arc, OrbifoldArc):
-        return arc.top > i
-    return arc.left_end > i or arc.right_end > i
-
-
-def parabolic_closed_form(n: int, gens: Iterable[int]) -> frozenset:
-    """Contracted arcs of parabolic_congruence(n, gens), by closed form."""
-    gens = set(gens)
-    return _arcs_where(n, lambda arc: any(_parabolic_contracts(arc, i) for i in gens))
 
 
 def passes_left_of(arc: TypeBArc, point: int) -> bool:

@@ -8,7 +8,8 @@ the congruence is built), congruences and arrows n >= 8, arcs n >= 10
 (type a n >= 17), diagrams n >= 6, shards beyond A4/B3, weak orders
 beyond A6/B4, suites bijections n >= 9, cambrian n >= 6, con-a n >= 4,
 forcing-closure n >= 7, symmetry n >= 5, octagon n != 2, render n >= 1001
-(every format).
+(every format).  `arrows` takes two arcs (is there an arrow between
+them?) or none (every arrow at --n); one arc alone is a usage error.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import sys
 
 from . import arcs_a, arcs_b, catalog, forcing, geometry as geo, render, serialize, verify
 from .catalog import Designation
-from .lattice import NotALattice, ScopeExceeded
+from .lattice import NotALattice
 from .permutations import CoxeterType, check_signed_rank
+from .util import ScopeExceeded
 
 
 class CliError(Exception):
@@ -155,7 +157,9 @@ def cmd_forcing(args) -> int:
 
 
 def cmd_arrows(args) -> int:
-    if args.first and args.second:
+    if (args.first is None) != (args.second is None):
+        raise CliError(2, "arrows takes two arcs or none")
+    if args.first is not None:
         a, b = _two_arcs(args)
         _emit({"arrow": forcing.has_arrow(a, b)})
     else:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .lattice import InvariantError
+from .util import InvariantError
 
 
 def _int_row(coeffs: Sequence) -> tuple:

@@ -31,9 +31,9 @@ from .arcs_b import (
     TypeBArc,
     piece_key,
 )
-from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
+from .lattice import FiniteLattice, build_lattice
 from .permutations import SignedPermutation, check_signed_rank, signed_words
-from .util import between, bits, closed_sets, transitive_closure
+from .util import InvariantError, ScopeExceeded, between, bits, closed_sets, transitive_closure
 
 
 class NotInConA(ValueError):

@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .feasible import LinearSystem
-from .lattice import FiniteLattice, InvariantError, ScopeExceeded, build_lattice
+from .lattice import FiniteLattice, build_lattice
 from .permutations import CoxeterType, Reflection
-from .util import canonical_normal, dot, unit
+from .util import InvariantError, ScopeExceeded, canonical_normal, dot, unit
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,6 @@ class Arrangement:
         if self._by_signs is None:
             self._by_signs = {r.signs: r for r in self.regions()}
         return self._by_signs.get(signs)
-
-    def base_region(self) -> Region:
-        return next(r for r in self.regions() if all(s > 0 for s in r.signs))
 
 
 def coxeter_arrangement(cox: CoxeterType) -> Arrangement:

@@ -31,10 +31,6 @@ class NotALattice(Exception):
     """Raised when a cover digraph fails to define a lattice."""
 
 
-class InvariantError(Exception):
-    """Raised when an internal invariant fails: a bug in arclat, not bad input."""
-
-
 @dataclass(frozen=True)
 class JoinIrreducible:
     element: int

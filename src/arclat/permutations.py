@@ -15,7 +15,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Tuple
 
-from .lattice import FiniteLattice, ScopeExceeded, build_lattice
+from .lattice import FiniteLattice, build_lattice
+from .util import ScopeExceeded
 
 Word = Tuple[int, ...]
 
@@ -178,11 +179,6 @@ def evaluate_word_b(indices: Iterable[int], n: int) -> SignedPermutation:
     return out
 
 
-def weak_order_leq(u, w) -> bool:
-    """u <= w in weak order: inclusion of inversion sets."""
-    return u.inversions() <= w.inversions()
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     for w in itertools.permutations(range(1, n + 1)):
         yield Permutation(w)
@@ -238,12 +234,6 @@ def cjr_weak(w) -> frozenset:
             v = nxt
         out.append(type(w)(v))
     return frozenset(out)
-
-
-def w0_conjugate(pi: Permutation) -> Permutation:
-    """Conjugation by the longest element: reverse and complement."""
-    n = pi.n
-    return Permutation(tuple(n + 1 - v for v in reversed(pi.word)))
 
 
 def word_w0_conjugate(word: Word) -> Word:

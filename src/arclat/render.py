@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc, arc_key
-from .lattice import ScopeExceeded
+from .util import ScopeExceeded
 
 # Every format draws at least one line per point, and the ascii grid has
 # (2n + 5) x (4n + 9) cells: an empty diagram on 5,000 points took 5 s and
@@ -205,16 +205,3 @@ def _ascii(lay: dict) -> str:
         grid[r][c] = str(i % 10)
     grid[2 * (n + 1)][mid] = "x"
     return "\n".join("".join(row).rstrip() for row in grid) + "\n"
-
-
-def stroke_point_clearance(diagram: DiagramB) -> float:
-    """Smallest horizontal distance between a stroke node and a point glyph
-    at the same height; positive means boxes are disjoint."""
-    lay = layout(diagram)
-    glyphs = {float(i): 0.0 for i in range(1, diagram.n + 1)}
-    best = float("inf")
-    for nodes in lay["paths"].values():
-        for x, y in nodes:
-            if y in glyphs and x != 0.0:
-                best = min(best, abs(x) - 0.2)
-    return best

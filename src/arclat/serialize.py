@@ -80,8 +80,15 @@ def diagram_a_to_json(diagram: DiagramA) -> dict:
     }
 
 
-def diagram_a_from_json(data: dict) -> DiagramA:
+def _diagram_rank(data: dict) -> int:
     n = _int(data["n"])
+    if n < 1:
+        raise ValueError(f"a diagram needs at least one point, got n = {n}")
+    return n
+
+
+def diagram_a_from_json(data: dict) -> DiagramA:
+    n = _diagram_rank(data)
     return DiagramA(
         frozenset(range(1, n + 1)),
         frozenset(arc_a_from_json(a) for a in data["arcs"]),
@@ -96,10 +103,7 @@ def diagram_b_to_json(diagram: DiagramB) -> dict:
 
 
 def diagram_b_from_json(data: dict) -> DiagramB:
-    n = _int(data["n"])
-    if n < 1:
-        raise ValueError(f"a diagram needs at least one point, got n = {n}")
-    return DiagramB(n, frozenset(arc_b_from_json(a) for a in data["arcs"]))
+    return DiagramB(_diagram_rank(data), frozenset(arc_b_from_json(a) for a in data["arcs"]))
 
 
 def congruence_to_json(theta: ArcCongruence) -> dict:

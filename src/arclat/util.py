@@ -9,6 +9,10 @@ class ScopeExceeded(Exception):
     """Raised when an input is outside the supported desk scale."""
 
 
+class InvariantError(Exception):
+    """Raised when an internal invariant fails: a bug in arclat, not bad input."""
+
+
 def between(a: int, b: int) -> tuple[int, ...]:
     """Integers strictly between a and b, excluding 0.
 

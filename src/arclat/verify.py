@@ -23,7 +23,7 @@ from .permutations import (
     weak_order_lattice,
     word_w0_conjugate,
 )
-from .util import transitive_closure
+from .util import ScopeExceeded, transitive_closure
 
 
 def _arcs(theta: forcing.ArcCongruence) -> list:
@@ -49,7 +49,7 @@ class Report:
 
 def suite_bijections(n: int) -> dict:
     if n > 8:
-        raise lat.ScopeExceeded("bijections suite supported up to n = 8")
+        raise ScopeExceeded("bijections suite supported up to n = 8")
     rep = Report("bijections", n)
     words = itertools.permutations(range(1, n + 1))
     bad = next((w for w in words if arcs_a.word_of(arcs_a.diagram_of(w)) != w), None)
@@ -137,7 +137,7 @@ def suite_forcing_oracle(n: int) -> dict:
 
 def suite_forcing_closure(n: int) -> dict:
     if n > 6:
-        raise lat.ScopeExceeded("forcing-closure suite supported up to n = 6")
+        raise ScopeExceeded("forcing-closure suite supported up to n = 6")
     rep = Report("forcing-closure", n)
     table = forcing.subarc_table(n)
     closure = forcing.arrow_closure(table.arcs)
@@ -244,7 +244,7 @@ def suite_geometry(n: int, family: str = "B") -> dict:
 
 def suite_octagon(n: int = 2) -> dict:
     if n != 2:
-        raise lat.ScopeExceeded("octagon suite is defined for n = 2 only")
+        raise ScopeExceeded("octagon suite is defined for n = 2 only")
     rep = Report("octagon", 2)
     W = weak_order_lattice(CoxeterType("B", 2))
     hexagon = weak_order_lattice(CoxeterType("A", 3))
@@ -289,7 +289,7 @@ def suite_hom(n: int) -> dict:
 
 def suite_cambrian(n: int) -> dict:
     if n > 5:
-        raise lat.ScopeExceeded("cambrian suite supported up to n = 5")
+        raise ScopeExceeded("cambrian suite supported up to n = 5")
     rep = Report("cambrian", n)
     expect = math.comb(2 * n, n)
     designations = [
@@ -346,7 +346,7 @@ def suite_bicambrian(n: int) -> dict:
 
 def suite_con_a(n: int) -> dict:
     if n > 3:
-        raise lat.ScopeExceeded("con-a suite supported up to n = 3")
+        raise ScopeExceeded("con-a suite supported up to n = 3")
     rep = Report("con-a", n)
     if n == 2:
         thetas = forcing.all_congruences(2)
@@ -394,7 +394,7 @@ def suite_con_a(n: int) -> dict:
 def suite_symmetry(n: int) -> dict:
     """Half-turn equivariance of the diagram map on +/-labeled points."""
     if n > 4:
-        raise lat.ScopeExceeded("symmetry suite supported up to n = 4")
+        raise ScopeExceeded("symmetry suite supported up to n = 4")
     rep = Report("symmetry", n)
     values = [v for v in range(-n, n + 1) if v != 0]
     bad = next((

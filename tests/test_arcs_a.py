@@ -122,7 +122,7 @@ def test_forcing_matches_subarc_on_rank_three():
 
 def test_shard_descriptor_examples():
     d = arcs_a.shard_descriptor(make_arc(1, 2))
-    assert (d.p, d.q) == (1, 2) and not d.leq and not d.geq
+    assert d.equality == ("diff", 1, 2) and not d.leq and not d.geq
     d = arcs_a.shard_descriptor(make_arc(1, 3, right=[2]))
     assert d.leq == frozenset({2}) and not d.geq
 

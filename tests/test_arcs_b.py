@@ -301,6 +301,13 @@ def test_shard_descriptor_examples():
     assert d.geq == frozenset([1])  # x at the right end dominates x_1
 
 
+def test_ordinary_arcs_share_the_type_a_descriptor():
+    """An ordinary quotient arc is a type-A arc, with the same shard."""
+    for arc in arcs_a.all_arcs_n(5):
+        ordinary = OrdinaryArc(arc.bottom, arc.top, arc.right)
+        assert arcs_a.shard_descriptor(arc) == arcs_b.shard_descriptor(ordinary), arc
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_shard_descriptors_distinct(n):
     descs = [arcs_b.shard_descriptor(a) for a in arcs_b.all_arcs(n)]

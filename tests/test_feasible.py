@@ -9,7 +9,7 @@ import pytest
 
 from arclat import feasible
 from arclat.feasible import LinearSystem
-from arclat.lattice import InvariantError
+from arclat.util import InvariantError
 
 
 class FractionSystem:

@@ -4,10 +4,15 @@ import pytest
 
 from arclat import arcs_a, arcs_b, geometry as geo, lattice as lat
 from arclat.permutations import CoxeterType, weak_order_lattice
-from arclat.util import dot
+from arclat.util import InvariantError, dot
 from test_feasible import FractionSystem
 
 ARRANGEMENTS = [("B", 2), ("B", 3), ("A", 3), ("A", 4)]
+
+
+def base_region(arr):
+    """The region on the positive side of every hyperplane."""
+    return next(r for r in arr.regions() if all(s > 0 for s in r.signs))
 
 
 @pytest.mark.parametrize(
@@ -104,7 +109,7 @@ def test_min_upper_region_bijection_b2():
 
 def test_lower_shards_base_and_top():
     arr, W, shards, shard_of = _tables("B", 2)
-    base = arr.base_region()
+    base = base_region(arr)
     assert geo.lower_shards(arr, base, shards) == []
     top = next(r for r in arr.regions() if len(r.separating()) == arr.m())
     assert len(geo.lower_shards(arr, top, shards)) == 2
@@ -179,7 +184,7 @@ def test_no_arrows_between_orthogonal_carriers():
 
 def test_facet_witness_lies_on_wall():
     arr = geo.coxeter_arrangement(CoxeterType("B", 2))
-    region = arr.base_region()
+    region = base_region(arr)
     for wall in geo.region_walls(arr, region):
         u = geo.facet_witness(arr, region, wall)
         assert dot(arr.oriented[wall], u) == 0
@@ -250,5 +255,5 @@ def test_min_upper_region_matches_region_scan(family, n):
         assert geo.min_upper_region(arr, sh, shards) is minimal[0]
         assert geo.min_upper_region(arr, sh, list(shards)) is minimal[0]
     stray = geo.ShardCone(shards[0].carrier, ((shards[0].carrier, 1),))
-    with pytest.raises(lat.InvariantError):
+    with pytest.raises(InvariantError):
         geo.min_upper_region(arr, stray, shards)

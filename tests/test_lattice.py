@@ -1,8 +1,11 @@
 import ast
 import functools
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +27,6 @@ from arclat.permutations import (
     SignedPermutation,
     all_permutations,
     weak_order_lattice,
-    weak_order_leq,
 )
 
 DIAMOND = [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
@@ -38,7 +40,7 @@ def hexagon_covers():
         (u, w)
         for u in elems
         for w in elems
-        if u != w and weak_order_leq(u, w)
+        if u != w and u.inversions() <= w.inversions()
     }
     covers = [
         (u, w)
@@ -137,6 +139,16 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_importing_the_package_loads_no_module():
+    """The modules are the API: `import arclat` itself loads none of them."""
+    src = str(pathlib.Path(lat.__file__).parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, arclat; print(sorted(k for k in sys.modules if k.startswith('arclat.')))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert loaded == "[]\n"
 
 
 def test_lattice_imports_only_util_from_arclat():

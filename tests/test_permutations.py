@@ -20,11 +20,14 @@ from arclat.permutations import (
     refl_b,
     simple_b,
     unfold,
-    w0_conjugate,
     weak_order_lattice,
-    weak_order_leq,
     word_w0_conjugate,
 )
+
+
+def weak_order_leq(u, w) -> bool:
+    """u <= w in weak order: inclusion of inversion sets."""
+    return u.inversions() <= w.inversions()
 
 
 def covers_down(w):
@@ -200,26 +203,6 @@ def test_lower_covers_reflections_are_canonical():
                 x = pi.word[i]
                 y = -x if lower[i] == -x else pi.word[i + 1]
                 assert Reflection("B", *t) == refl_b(x, y)
-
-
-def test_w0_conjugate_formula_and_group():
-    ident = Permutation((1, 2, 3, 4))
-    assert w0_conjugate(ident) == ident
-    w0 = Permutation((4, 3, 2, 1))
-    assert w0_conjugate(w0) == w0
-    pi = Permutation((6, 4, 3, 7, 1, 2, 5))
-    by_formula = w0_conjugate(pi)
-    # group-theoretic cross-check: conjugate by the longest element
-    n = pi.n
-    w0w = tuple(range(n, 0, -1))
-
-    def apply(p, i):
-        return p[i - 1]
-
-    conj = tuple(
-        apply(w0w, apply(pi.word, apply(w0w, i))) for i in range(1, n + 1)
-    )
-    assert by_formula.word == conj
 
 
 def test_unfold_fold_examples_and_roundtrip():

@@ -4,7 +4,20 @@ import pytest
 
 from arclat import arcs_b
 from arclat.permutations import SignedPermutation
-from arclat.render import RenderSpec, render, stroke_point_clearance
+from arclat.render import RenderSpec, layout, render
+
+
+def stroke_point_clearance(diagram) -> float:
+    """Smallest horizontal distance between a stroke node and a point glyph
+    at the same height; positive means boxes are disjoint."""
+    lay = layout(diagram)
+    glyphs = {float(i): 0.0 for i in range(1, diagram.n + 1)}
+    best = float("inf")
+    for nodes in lay["paths"].values():
+        for x, y in nodes:
+            if y in glyphs and x != 0.0:
+                best = min(best, abs(x) - 0.2)
+    return best
 
 
 def test_spec_validation():

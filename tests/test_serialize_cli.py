@@ -40,6 +40,12 @@ def test_diagram_and_congruence_roundtrip(n):
         assert back.contracted == theta.contracted
 
 
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_empty_diagram_is_refused_in_both_types(kind):
+    code, _, err = run_cli_full("map", "--type", kind, "--diagram", '{"n":0,"arcs":[]}')
+    assert code == 3 and err == "error: a diagram needs at least one point, got n = 0\n"
+
+
 def test_map_subcommand_b():
     code, out = run_cli("map", "--type", "b", "--perm", "[-1,2]")
     assert code == 0
@@ -290,6 +296,7 @@ ERROR_CONTRACT = [
     (["forcing", '{"kind":"ordinary","bottom":1,"top":3,"right":[2.0]}', '{"kind":"orbifold","top":3,"right":[]}'], 3),
     (["forcing", '{"kind":"long","left":1,"right_ep":"2","L":[],"R":[]}', '{"kind":"orbifold","top":3,"right":[]}'], 3),
     (["quotient", "--congruence", '{"n":2.0,"contracted":[]}', "--n", "2", "--count"], 3),
+    (["arrows", '{"kind":"orbifold","top":1,"right":[]}', "--n", "1"], 2),  # one arc of two
 ]
 
 # One rank just past each scope guard (and an out-of-range generator): each

@@ -48,8 +48,7 @@ def rank(text: str) -> int:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")  # json.dump would run the pure-Python encoder
 
 
 def cmd_map(args) -> int:

@@ -1,18 +1,18 @@
-"""Exact rational feasibility of small linear systems.
+"""Exact feasibility of small homogeneous linear systems.
 
 Fourier-Motzkin elimination on integer rows, with strict and weak
 inequalities and linear equalities.  Rows are fraction-free: denominators
 are cleared on input, each row is divided by the gcd of its entries and is
 only ever scaled by positive factors, and equalities are eliminated by
-integer pivoting.  Equal rows are merged (strict if any copy is).  Only the
-bounds and the back-substitution use ``Fraction``; since positive scaling
-moves no bound, each witness is the one elimination over ``Fraction`` rows
-gives.  Every witness is checked against every row before it is returned.
+integer pivoting.  Equal rows are merged (strict if any copy is).  Bounds
+are integer pairs compared by cross-multiplication, and the partial solution
+is numerators over one denominator.  Every system is homogeneous, so a
+witness is a ray: the primitive integer vector on the ray of the witness
+that elimination over ``Fraction`` rows gives, checked against every row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -22,7 +22,6 @@ from .util import InvariantError
 def _int_row(coeffs: Sequence) -> tuple:
     """Integer row with the same direction (denominators cleared), gcd 1."""
     if not all(type(c) is int for c in coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     return _normal(coeffs)
@@ -35,12 +34,6 @@ def _normal(row: Sequence[int]) -> tuple:
 
 def _add(rows: dict, row: tuple, strict: bool) -> None:
     rows[row] = strict or rows.get(row, False)
-
-
-def _common_denominator(x: Sequence[Fraction]) -> tuple:
-    """(numerators, denominator > 0) with x[i] == numerators[i] / denominator."""
-    den = lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 class LinearSystem:
@@ -67,7 +60,8 @@ class LinearSystem:
         return self.witness() is not None
 
     def witness(self) -> Optional[tuple]:
-        """A rational solution, or None if the system is infeasible."""
+        """The certified primitive integer vector on the ray of the witness
+        that elimination over ``Fraction`` rows gives; None if infeasible."""
         n = self.dim
         # Eliminate equalities by integer pivoting; each pivot entry is positive.
         pivots: list[tuple[int, tuple]] = []  # (var index, row solved for that var)
@@ -86,22 +80,25 @@ class LinearSystem:
         sol_free = _fm_solve(proj, len(free))
         if sol_free is None:
             return None
-        x = [Fraction(0)] * n
-        for j, v in zip(free, sol_free):
+        x = [0] * n
+        for j, v in zip(free, sol_free[0]):  # the denominator is positive: same ray
             x[j] = v
         for piv, row in reversed(pivots):
-            x[piv] = Fraction(-sum(row[j] * x[j] for j in range(n) if j != piv), row[piv])
+            # x[piv] (still 0) = -(row . x) / row[piv]: scale x by row[piv] > 0 instead
+            s = sum(c * v for c, v in zip(row, x))
+            x = [row[piv] * v for v in x]
+            x[piv] = -s
+        x = _normal(x)
         self._certify(x)
-        return tuple(x)
+        return x
 
-    def _certify(self, x: Sequence[Fraction]) -> None:
+    def _certify(self, x: Sequence[int]) -> None:
         """Raise InvariantError unless x satisfies every row exactly."""
-        nums, _den = _common_denominator(x)  # den > 0: signs of a.x are kept
         for a in self.equalities:
-            if sum(c * v for c, v in zip(a, nums)):
+            if sum(c * v for c, v in zip(a, x)):
                 raise InvariantError(f"witness {tuple(x)} violates the equality {a}")
         for a, strict in self.inequalities:
-            d = sum(c * v for c, v in zip(a, nums))
+            d = sum(c * v for c, v in zip(a, x))
             if d < 0 or (strict and d == 0):
                 raise InvariantError(f"witness {tuple(x)} violates {a} {'>' if strict else '>='} 0")
 
@@ -116,13 +113,14 @@ def _reduce(row: tuple, pivots: list) -> tuple:
     return row
 
 
-def _fm_solve(rows: dict, dim: int) -> Optional[list]:
-    """Witness for a {normalised integer row a: strict} system of a.x (>|>=) 0
-    by Fourier-Motzkin, None if infeasible."""
+def _fm_solve(rows: dict, dim: int) -> Optional[tuple]:
+    """The Fourier-Motzkin witness of a {normalised integer row a: strict}
+    system of a.x (>|>=) 0, the one elimination over ``Fraction`` rows gives,
+    as (numerators, denominator > 0) in lowest terms; None if infeasible."""
     if rows.pop((0,) * dim, False):
         return None  # 0 > 0
     if dim == 0:
-        return []
+        return [], 1
     # eliminate the last variable
     k = dim - 1
     lower: dict = {}
@@ -142,25 +140,33 @@ def _fm_solve(rows: dict, dim: int) -> Optional[list]:
     rest = _fm_solve(lower, k)
     if rest is None:
         return None
-    nums, den = _common_denominator(rest)
+    nums, den = rest
+    # each bound is a pair (p, q), q > 0, standing for p / q
     lo, lo_strict = None, False
     hi, hi_strict = None, False
     for a, strict in pos:
-        b = Fraction(-sum(c * v for c, v in zip(a, nums)), a[k] * den)
-        if lo is None or b > lo or (b == lo and strict):
-            lo, lo_strict = b, strict
+        p, q = -sum(c * v for c, v in zip(a, nums)), a[k] * den
+        if lo is None or p * lo[1] > lo[0] * q or (strict and p * lo[1] == lo[0] * q):
+            lo, lo_strict = (p, q), strict
     for a, strict in neg:
-        b = Fraction(-sum(c * v for c, v in zip(a, nums)), a[k] * den)
-        if hi is None or b < hi or (b == hi and strict):
-            hi, hi_strict = b, strict
+        p, q = sum(c * v for c, v in zip(a, nums)), -a[k] * den
+        if hi is None or p * hi[1] < hi[0] * q or (strict and p * hi[1] == hi[0] * q):
+            hi, hi_strict = (p, q), strict
     if lo is None and hi is None:
-        val = Fraction(0)
+        p, q = 0, 1
     elif lo is None:
-        val = hi - 1
+        p, q = hi[0] - hi[1], hi[1]
     elif hi is None:
-        val = lo + 1
+        p, q = lo[0] + lo[1], lo[1]
     else:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        gap = hi[0] * lo[1] - lo[0] * hi[1]
+        if gap < 0 or (gap == 0 and (lo_strict or hi_strict)):
             return None  # can happen only through rounding of strictness; guard
-        val = (lo + hi) / 2
-    return rest + [val]
+        p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+    # rest + [p / q] over lcm(den, q), in lowest terms since both parts are
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    g = gcd(den, q)
+    if q != g:
+        nums = [v * (q // g) for v in nums]
+    return nums + [p * (den // g)], den * (q // g)

@@ -749,7 +749,16 @@ class ArcCongruenceA(ArcCongruence):
     table = staticmethod(symmetric_subarc_table)
 
     def is_symmetric(self) -> bool:
-        return all(arcs_a.antipode(a) in self.contracted for a in self.contracted)
+        """The contracted set is closed under the antipode."""
+        image, mask = _antipodes(self.n), self.mask
+        return all(mask >> image[i] & 1 for i in bits(mask))
+
+
+@lru_cache(maxsize=None)
+def _antipodes(n: int) -> tuple:
+    """arcs_a.antipode as a permutation of symmetric_subarc_table(n)'s indices."""
+    table = symmetric_subarc_table(n)
+    return tuple(table.index[arcs_a.antipode(a)] for a in table.arcs)
 
 
 def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...]:

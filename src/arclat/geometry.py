@@ -6,7 +6,8 @@ cone is empty; cones of hyperplane pieces are stored as a carrier plus
 strict side assignments for the hyperplanes slicing it.  All arithmetic is
 exact: normals are integer vectors, spans are decided by integer minors,
 feasibility (`feasible`) is Fourier-Motzkin on integer rows, and points are
-rational, so dimension and containment questions are decided bit-exactly.
+integer vectors (every system is homogeneous, so a witness is a ray):
+dimension and containment questions are decided bit-exactly.
 
 Each `Arrangement` computes a fact once and keeps it: its regions (also
 indexed by sign vector), every rank-two subarrangement asked for, and, per
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .feasible import LinearSystem
@@ -58,8 +58,10 @@ def reflection_hyperplane(t: Reflection, n: int) -> Hyperplane:
 
 @dataclass(frozen=True)
 class Region:
+    """A region as its strict sign vector, with an integer witness inside it."""
+
     signs: tuple  # +1/-1 per hyperplane, relative to the base side
-    witness: tuple
+    witness: tuple  # primitive integer vector
 
     def separating(self) -> frozenset:
         return frozenset(i for i, s in enumerate(self.signs) if s < 0)
@@ -68,9 +70,9 @@ class Region:
 class Arrangement:
     """A central arrangement with a chosen base region."""
 
-    def __init__(self, hyperplanes: Sequence[Hyperplane], base_point: Sequence):
+    def __init__(self, hyperplanes: Sequence[Hyperplane], base_point: Sequence[int]):
         self.hyperplanes = tuple(hyperplanes)
-        self.base_point = tuple(Fraction(x) for x in base_point)
+        self.base_point = tuple(base_point)
         self.dim = len(self.base_point)
         # orient each normal toward the base region
         oriented = []
@@ -89,10 +91,11 @@ class Arrangement:
         return len(self.hyperplanes)
 
     def regions(self) -> tuple:
-        """All regions, as strict sign vectors with rational witnesses.
+        """All regions, as strict sign vectors with integer witnesses.
 
         In the order of the sign vectors in itertools.product((1, -1), ...),
-        each witness the one of its full system of strict inequalities.
+        each witness the one `feasible` gives for its full system of strict
+        inequalities.
         """
         if self._regions is None:
             found: List[Region] = []
@@ -158,8 +161,7 @@ def coxeter_arrangement(cox: CoxeterType) -> Arrangement:
                 w = [0] * n
                 w[i - 1], w[j - 1] = 1, 1
                 normals.append(w)
-    base = [Fraction(k) for k in range(1, n + 1)]
-    return Arrangement([hyperplane(v) for v in normals], base)
+    return Arrangement([hyperplane(v) for v in normals], range(1, n + 1))
 
 
 def poset_of_regions(arr: Arrangement) -> FiniteLattice:

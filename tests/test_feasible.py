@@ -3,6 +3,7 @@ rows that it replaced, kept here as the reference."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 import pytest
@@ -108,6 +109,19 @@ def _fm_solve_fraction(rows: list, dim: int) -> Optional[list]:
     return rest + [val]
 
 
+def primitive(w: tuple) -> tuple:
+    """The primitive integer vector on the ray of a rational vector (zero stays zero)."""
+    den = lcm(*(v.denominator for v in w)) if w else 1
+    nums = [v.numerator * (den // v.denominator) for v in w]
+    g = gcd(*nums)
+    return tuple(v // g for v in nums) if g > 1 else tuple(nums)
+
+
+def assert_primitive(w: tuple) -> None:
+    assert all(type(v) is int for v in w), w
+    assert gcd(*w) == (1 if any(w) else 0), w
+
+
 def _random_coefficient(rng: random.Random):
     if rng.random() < 0.15:
         return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
@@ -142,8 +156,8 @@ def test_integer_kernel_matches_fraction_reference(seed):
         want = _build(FractionSystem, dim, rows).witness()
         assert (got is None) == (want is None), rows
         if got is not None:
-            assert got == want, rows
-            assert all(type(v) is Fraction for v in got)
+            assert got == primitive(want), rows
+            assert_primitive(got)
             feasible_count += 1
     assert 100 < feasible_count < 1000  # both outcomes are exercised
 
@@ -164,13 +178,15 @@ def test_equalities_without_strict_rows():
 
 def test_witness_is_certified(monkeypatch):
     sys = LinearSystem(2).gt([1, 0]).ge([0, 1])
-    assert sys.witness() == (Fraction(1), Fraction(1))
-    monkeypatch.setattr(feasible, "_fm_solve", lambda rows, dim: [Fraction(-1)] * dim)
+    got = sys.witness()
+    assert got == primitive(FractionSystem(2).gt([1, 0]).ge([0, 1]).witness()) == (1, 1)
+    assert_primitive(got)
+    monkeypatch.setattr(feasible, "_fm_solve", lambda rows, dim: ([-1] * dim, 1))
     with pytest.raises(InvariantError):
         sys.witness()
     # with the pivots left unreduced, back-substitution misses an equality
     eq_sys = LinearSystem(3).eq([1, 1, 0]).eq([1, 0, 1])
-    monkeypatch.setattr(feasible, "_fm_solve", lambda rows, dim: [Fraction(-1), Fraction(2)])
+    monkeypatch.setattr(feasible, "_fm_solve", lambda rows, dim: ([-1, 2], 1))
     monkeypatch.setattr(feasible, "_reduce", lambda row, pivots: row)
     with pytest.raises(InvariantError, match="equality"):
         eq_sys.witness()

@@ -520,6 +520,26 @@ def test_symmetric_generators_contract_their_superarcs(n):
         assert theta.contracted == frozenset(b for b in arcs if arcs_a.is_subarc(g, b))
 
 
+def _is_symmetric_by_objects(theta):
+    """Reference: the contracted arc objects are closed under the antipode."""
+    return all(arcs_a.antipode(a) in theta.contracted for a in theta.contracted)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetry_on_the_mask_matches_the_antipodes_of_the_arcs(n):
+    arcs = _symmetric_arcs(n)
+    thetas = [forcing.ArcCongruenceA.from_generators(n, [g]) for g in arcs]
+    rng = random.Random(n)
+    for _ in range(200):
+        gens = rng.sample(arcs, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            gens += [arcs_a.antipode(g) for g in gens]
+        thetas.append(forcing.ArcCongruenceA.from_generators(n, gens))
+    outcomes = [theta.is_symmetric() for theta in thetas]
+    assert outcomes == [_is_symmetric_by_objects(theta) for theta in thetas]
+    assert True in outcomes and False in outcomes
+
+
 def test_lift_requires_membership():
     with pytest.raises(NotInConA):
         lift_to_symmetric(catalog.hom_congruence(3, "simion"))

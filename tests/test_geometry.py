@@ -1,11 +1,15 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from arclat import arcs_a, arcs_b, geometry as geo, lattice as lat
 from arclat.permutations import CoxeterType, weak_order_lattice
 from arclat.util import InvariantError, dot
-from test_feasible import FractionSystem
+from test_feasible import FractionSystem, assert_primitive, primitive
 
 ARRANGEMENTS = [("B", 2), ("B", 3), ("A", 3), ("A", 4)]
 
@@ -28,6 +32,17 @@ def test_arrangement_counts(family, n, hyperplanes, regions):
 def test_scope_guard():
     with pytest.raises(lat.ScopeExceeded):
         geo.coxeter_arrangement(CoxeterType("B", 4))
+
+
+def test_importing_geometry_loads_no_rational_arithmetic():
+    """Geometry runs on integer rays: `import arclat.geometry` loads neither
+    `fractions` nor `decimal`."""
+    src = str(pathlib.Path(geo.__file__).parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, arclat.geometry; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert loaded == "[]\n"
 
 
 @pytest.mark.parametrize("family,n", [("B", 2), ("B", 3), ("A", 3), ("A", 4)])
@@ -195,7 +210,8 @@ def test_facet_witness_lies_on_wall():
 
 def _product_scan_regions(arr):
     """Reference: solve the system of each of the 2^m strict sign vectors,
-    by elimination over Fraction rows."""
+    by elimination over Fraction rows, each witness scaled to its primitive
+    integer vector."""
     found = []
     for signs in itertools.product((1, -1), repeat=arr.m()):
         sys = FractionSystem(arr.dim)
@@ -203,7 +219,7 @@ def _product_scan_regions(arr):
             sys.gt([s * c for c in normal])
         w = sys.witness()
         if w is not None:
-            found.append(geo.Region(signs, w))
+            found.append(geo.Region(signs, primitive(w)))
     return tuple(found)
 
 
@@ -212,6 +228,7 @@ def test_regions_match_product_scan(family, n):
     arr = geo.coxeter_arrangement(CoxeterType(family, n))
     assert arr.regions() == _product_scan_regions(arr)
     for r in arr.regions():
+        assert_primitive(r.witness)
         assert arr.region_of(r.signs) is r
     assert arr.region_of((1,) * (arr.m() - 1) + (2,)) is None
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .util import ScopeExceeded, between, components
+from .util import MAX_POINTS, ScopeExceeded, between, components
 
 Word = Tuple[int, ...]
 
@@ -134,6 +134,8 @@ def descent_arcs(word: Word) -> List[Tuple[int, ArcA]]:
 
 def diagram_of(word: Word) -> DiagramA:
     """The noncrossing arc diagram of a permutation word."""
+    if max(map(abs, word), default=0) > MAX_POINTS:
+        raise ScopeExceeded(f"diagrams supported up to n = {MAX_POINTS}")
     return DiagramA(frozenset(word), frozenset(arc for _i, arc in descent_arcs(word)))
 
 
@@ -167,8 +169,11 @@ def word_of(diagram: DiagramA) -> Word:
     A left block has nothing to its left at any height it occupies; its
     points are emitted in decreasing order and the block is removed.
     Removing a block changes neither the other blocks nor how they lie
-    relative to each other, so both are computed once.
+    relative to each other, so both are computed once.  Points beyond
+    +/-MAX_POINTS are refused, so the symmetric model of B_n counts as n.
     """
+    if max(map(abs, diagram.points), default=0) > MAX_POINTS:
+        raise ScopeExceeded(f"diagrams supported up to n = {MAX_POINTS}")
     blocks = _blocks(set(diagram.points), set(diagram.arcs))
     blockers = [0] * len(blocks)
     right_of: list = [[] for _ in blocks]

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 from . import arcs_a
 from .arcs_a import ArcA, DiagramA, ShardDescriptor
 from .permutations import SignedPermutation, fold, is_join_irreducible_signed
-from .util import InvariantError, ScopeExceeded, between, bits
+from .util import MAX_POINTS, InvariantError, ScopeExceeded, between, bits
 
 Word = Tuple[int, ...]
 Key = Tuple[int, int, int]
@@ -377,11 +377,15 @@ def signed_descent_arcs(pi: SignedPermutation) -> List[Tuple[object, TypeBArc]]:
 
 def diagram_of_signed(pi: SignedPermutation) -> DiagramB:
     """The quotient noncrossing arc diagram of a signed permutation."""
+    if pi.n > MAX_POINTS:
+        raise ScopeExceeded(f"diagrams supported up to n = {MAX_POINTS}")
     return DiagramB(pi.n, frozenset(arc for _k, arc in signed_descent_arcs(pi)))
 
 
 def signed_of_diagram(diagram: DiagramB) -> SignedPermutation:
     """Inverse of diagram_of_signed, via the symmetric model."""
+    if diagram.n > MAX_POINTS:
+        raise ScopeExceeded(f"diagrams supported up to n = {MAX_POINTS}")
     arcs: set = set()
     for arc in diagram.arcs:
         arcs.update(unfold_arcs(arc))

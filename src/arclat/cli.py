@@ -7,9 +7,9 @@ library refuses: quotient elements n >= 7 and --hasse n >= 5 (both before
 the congruence is built), congruences and arrows n >= 8, arcs n >= 10
 (type a n >= 17), diagrams n >= 6, shards beyond A4/B3, weak orders
 beyond A6/B4, suites bijections n >= 9, cambrian n >= 6, con-a n >= 4,
-forcing-closure n >= 7, symmetry n >= 5, octagon n != 2, render n >= 1001
-(every format).  `arrows` takes two arcs (is there an arrow between
-them?) or none (every arrow at --n); one arc alone is a usage error.
+forcing-closure n >= 7, symmetry n >= 5, octagon n != 2, map and render
+n >= 1001.  `arrows` takes two arcs (is there an arrow between them?) or
+none (every arrow at --n); one arc alone is a usage error.
 """
 
 from __future__ import annotations

@@ -714,18 +714,9 @@ def quotient_lattice(theta: ArcCongruence) -> FiniteLattice:
     """The quotient as the subposet of the weak order on class bottoms, in
     the order of signed_words.  A bottom x covers exactly the bottoms
     pi(y) of its lower covers y in the weak order, pi the projection to the
-    class bottom; none of x's descents is contracted, so each y lies in
-    another class.  Classes are intervals and pi is order-preserving and
-    fixes bottoms (Reading, Lattice congruences of the weak order, Order
-    21, 2004).
-
-    Each pi(y) is covered by x among the bottoms.  pi(y) <= y < x; take a
-    bottom w with pi(y) <= w < x.  Then w' = (w v y) ^ x lies in [y, x], so
-    w' is y or x, and its class is ([w] v [y]) ^ [x] = [w], since [y] =
-    [pi(y)] <= [w] <= [x].  So w is pi(y) (if w' = y) or x (if w' = x,
-    excluded): no bottom lies strictly between.  Conversely, each lower
-    cover z of x among the bottoms is some pi(y): some y covered by x lies
-    above z, so z = pi(z) <= pi(y) < x, and z = pi(y) as z is covered.
+    class bottom: the cover rule that lattice.quotient proves for any
+    lattice congruence.  build_lattice still runs its join check, which
+    verifies the arc side.
     """
     check_lattice_rank(theta.n)
     table, bottom = _class_bottoms(theta)

@@ -92,7 +92,8 @@ class FiniteLattice:
         """The poset whose element i is labels[i] with lower covers
         covers_down[i], ascending ids that all precede i.  Every check of
         the constructor runs but the (a, j) join check: its one caller,
-        quotient, proves the joins by its homomorphism check."""
+        quotient, proves the joins by its congruence check, as its result
+        is isomorphic to the quotient lattice."""
         lat = cls.__new__(cls)
         lat._build(labels, covers_down)
         return lat
@@ -390,54 +391,45 @@ def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
     """Quotient lattice, realized on the bottom elements of the classes: the
     order of L restricted to them, their ids in the order of L's ids.
 
-    Raises NotALattice unless the class map pi, taking x to its class, is a
-    join-homomorphism onto the quotient.  That is checked as
-    pi(a v j) = pi(a) v pi(j) for every a in L and every join-irreducible
-    j, which suffices: pi of the bottom is the quotient's bottom (nothing
-    lies below it), and for x = y v j, by induction on the number of
-    join-irreducibles whose join is x,
-    pi(a v x) = pi((a v y) v j) = pi(a) v pi(y) v pi(j) = pi(a) v pi(x).
-    Since pi fixes the class bottoms, this includes [a] v [b] = [a v b] for
-    every pair of class bottoms a and b.
+    Raises NotALattice unless theta is a lattice congruence.  An equivalence
+    on a finite lattice is one iff every class is an interval and both
+    projections, x to the bottom and x to the top of its class, are
+    order-preserving, which needs checking only on covers (Chajda-Snasel,
+    Congruences in ordered sets, Math. Bohemica 123, 1998; Reading, Lattice
+    congruences of the weak order, Order 21, 2004).  As ids extend the
+    order, a class's bottom is its lowest id, its top its highest, and the
+    class is the interval between them iff its members are
+    up[bottom] & down[top].
 
-    The check also proves that Q, the class bottoms under the order of L,
-    is a lattice, so Q runs no join check of its own.  Each pi(a v j) it
-    accepts is the lowest id of the common up-set of pi(a) and pi(j) in Q,
-    so pi(a v j) >= pi(a) in Q.
-    - pi is order-preserving: if b <= c, then c is b joined with the
-      join-irreducibles j1, ..., jk below c, and the chain of (a, j) steps
-      b <= b v j1 <= ... <= c gives pi(b) <= pi(b v j1) <= ... <= pi(c).
-    - For bottoms x and y, pi(x v y) is their least upper bound in Q: it
-      lies above pi(x) = x and pi(y) = y, and any bottom z above both lies
-      above x v y, so z = pi(z) >= pi(x v y).
-    Q has a bottom (checked on construction) and a join for every pair, so
-    it is a lattice.
+    Q is isomorphic to L/theta, so it is a lattice and runs no join check
+    of its own: with pi the projection to the class bottom, [a] <= [b] iff
+    pi(a) <= pi(b).  Its covers follow one rule, for any congruence: a
+    bottom x covers, among the bottoms, exactly the pi(y) for y covered by
+    x in L.  Each such y lies below x's class, so pi(y) < x.  Take a bottom
+    w with pi(y) <= w < x.  Then w' = (w v y) ^ x lies in [y, x], so w' is
+    y or x, and its class is ([w] v [y]) ^ [x] = [w], since [y] = [pi(y)]
+    <= [w] <= [x].  So w is pi(y) (if w' = y) or x (if w' = x, excluded):
+    no bottom lies strictly between.  Conversely, each lower cover z of x
+    among the bottoms lies below some y covered by x, so
+    z = pi(z) <= pi(y) < x, and z = pi(y) as z is covered.
     """
-    bottoms = sorted(set(theta.class_of))
-    mask_all = sum(1 << b for b in bottoms)
+    class_of, up, down = theta.class_of, lat.up, lat.down
+    members = [0] * lat.n
+    for x, c in enumerate(class_of):
+        members[c] |= 1 << x
+    top = [m.bit_length() - 1 for m in members]
+    for b, m in enumerate(members):
+        if m and up[b] & down[top[b]] != m:
+            raise NotALattice(f"the class of {lat.labels[b]!r} is not an interval")
+    for x, lower in enumerate(lat.covers_down):
+        bx, tx = class_of[x], top[class_of[x]]
+        for y in lower:
+            if not (down[bx] >> class_of[y] & 1 and down[tx] >> top[class_of[y]] & 1):
+                raise NotALattice(f"a projection reverses the cover {lat.labels[y]!r} < {lat.labels[x]!r}")
+    bottoms = [b for b, m in enumerate(members) if m]
     in_q = {b: i for i, b in enumerate(bottoms)}
-    covers_down = []
-    for b in bottoms:
-        # The bottoms below b, maximal first: the highest id left is maximal
-        # among those left, as ids extend the order.
-        lower, found = lat.down[b] & mask_all & ~(1 << b), []
-        while lower:
-            c = lower.bit_length() - 1
-            found.append(in_q[c])
-            lower &= ~lat.down[c]
-        covers_down.append(found[::-1])
-    q = FiniteLattice._on_ids([lat.labels[b] for b in bottoms], covers_down)
-    pi = [in_q[c] for c in theta.class_of]
-    up, qup = lat.up, q.up
-    ji_ups = [(up[j], qup[pi[j]]) for j in lat.jis]
-    for a in range(lat.n):
-        ua, qa = up[a], qup[pi[a]]
-        for uj, qj in ji_ups:
-            m = ua & uj
-            qm = qa & qj
-            if pi[(m & -m).bit_length() - 1] != (qm & -qm).bit_length() - 1:
-                raise NotALattice("class map is not a join-homomorphism")
-    return q
+    covers_down = [sorted({in_q[class_of[y]] for y in lat.covers_down[b]}) for b in bottoms]
+    return FiniteLattice._on_ids([lat.labels[b] for b in bottoms], covers_down)
 
 
 def forcing_oracle(lat: FiniteLattice, j1, j2) -> bool:

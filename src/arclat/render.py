@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc, arc_key
-from .util import ScopeExceeded
-
-# Every format draws at least one line per point, and the ascii grid has
-# (2n + 5) x (4n + 9) cells: an empty diagram on 5,000 points took 5 s and
-# 1.6 GB to draw on a 2-core VM.
-MAX_POINTS = 1000
+from .util import MAX_POINTS, ScopeExceeded
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,13 @@ class ScopeExceeded(Exception):
     """Raised when an input is outside the supported desk scale."""
 
 
+# The most points of a diagram that map and render accept.  On a 2-core VM
+# an empty diagram on 5,000 points took 5 s and 1.6 GB to draw (the ascii
+# grid has (2n + 5) x (4n + 9) cells), and a random signed word on 1,000
+# points took up to 10 s to map to its diagram and 20 s back.
+MAX_POINTS = 1000
+
+
 class InvariantError(Exception):
     """Raised when an internal invariant fails: a bug in arclat, not bad input."""
 

@@ -5,6 +5,7 @@ benchmark run fails here first."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import arclat
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,22 @@ def test_every_traced_entry_point_resolves(bench):
     # The ratio hooks read these attributes of their arguments.
     assert callable(resolve("geometry", "Arrangement.m"))
     assert "n" in resolve("forcing", "ArcCongruence").__dataclass_fields__
+
+
+def test_traced_modules_are_loaded_by_the_workloads():
+    """The tracer finds each module of ENTRY_POINTS as an attribute of the
+    arclat package, without importing it.  In a fresh interpreter with
+    src/ and bench/ on the path, as in a benchmark worker, importing
+    arclat, workloads and tracing must already have loaded every one of
+    them; a module that arclat imports only lazily would not be."""
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import arclat, workloads, tracing\n"
+        "print(sorted({m for _, m, _, _ in tracing.ENTRY_POINTS if not hasattr(arclat, m)}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(SRC), str(BENCH)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cache_counts_reads_arclat_caches(bench):

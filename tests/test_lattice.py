@@ -600,15 +600,33 @@ def test_generated_congruences_match_closure_on_random_meet_closed_lattices():
 
 @pytest.mark.parametrize("name", ["M3", "N5", "B2", "hexagon", "chain"])
 def test_all_congruences_match_partition_scan(name):
+    """all_congruences lists the congruences, and quotient accepts a set
+    partition exactly when it is one.  A check that the class map is a
+    join-homomorphism accepts join-congruences too, such as the M3
+    partition {0, a}, {b, c, 1}: b and c share a class, but b ^ b = b and
+    c ^ b = 0 do not."""
     L = {
         "hexagon": lambda: build_lattice(hexagon_covers()),
         "chain": lambda: build_lattice([(i, i + 1) for i in range(5)]),
         **LATTICES,
     }[name]()
     for M in (L, dual_lattice(L)):
+        scan = set(congruences_by_scan(M))
         got = list(lat.all_congruences(M))
         assert len(got) == len(set(got))
-        assert set(got) == set(congruences_by_scan(M))
+        assert set(got) == scan
+        for class_of in set_partitions(M.n):
+            theta = Congruence(M, class_of)
+            try:
+                quotient(M, theta)
+            except NotALattice:
+                assert theta not in scan, class_of
+            else:
+                assert theta in scan, class_of
+    if name == "M3":
+        theta = Congruence.from_classes(L, [[L.index["0"], L.index["a"]], [L.index[x] for x in "bc1"]])
+        with pytest.raises(NotALattice):
+            quotient(L, theta)
 
 
 def test_forcing_oracle_rejects_non_join_irreducibles():
@@ -722,7 +740,9 @@ def test_cjr_oracle_memo_returns_what_a_fresh_lattice_computes():
 
 def quotient_by_label_pairs(L, theta):
     """The quotient's order as lattice.quotient first built it: a fresh
-    FiniteLattice from cover pairs of the class bottoms' labels."""
+    FiniteLattice from cover pairs of the class bottoms' labels.  It checks
+    only that the class bottoms form a lattice under L's order, not that
+    theta is a congruence."""
     bottoms = sorted(set(theta.class_of))
     mask_all = sum(1 << b for b in bottoms)
     covers = []
@@ -759,11 +779,12 @@ def test_quotient_matches_the_label_pair_build(n):
 
 def test_quotient_of_a_random_partition_is_rejected_or_matches_every_check():
     """Seeded random partitions of the random meet-closed lattices, most of
-    them no congruence.  quotient runs no join check on the class bottoms,
-    so each partition it accepts must give what the label-pair build, which
-    runs every check, gives.  All three outcomes occur: accepted with more
-    than one class and fewer than all, rejected while the bottoms form a
-    lattice, and rejected because they do not."""
+    them no congruence.  quotient accepts only congruences and builds the
+    covers of the class bottoms by its own rule, so each partition it
+    accepts must give what the label-pair build, which finds the covers by
+    the order of L and checks the joins, gives.  All three outcomes occur:
+    accepted with more than one class and fewer than all, rejected while
+    the bottoms form a lattice, and rejected because they do not."""
     rng = random.Random(16)
     outcomes = {"accepted": 0, "bottoms a lattice": 0, "bottoms no lattice": 0}
     for L in random_meet_closed_lattices():

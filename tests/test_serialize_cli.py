@@ -330,6 +330,10 @@ REFUSED = [
     ["enumerate", "--what", "arcs", "--n", "10"],
     ["enumerate", "--what", "arcs", "--type", "a", "--n", "17"],
     ["render", "--diagram", '{"n":1001,"arcs":[]}', "--format", "ascii"],
+    ["map", "--type", "a", "--perm", json.dumps(list(range(1001, 0, -1)))],
+    ["map", "--type", "b", "--perm", json.dumps(list(range(-1, -1002, -1)))],
+    ["map", "--type", "a", "--diagram", '{"n":1001,"arcs":[]}'],
+    ["map", "--type", "b", "--diagram", '{"n":1001,"arcs":[]}'],
 ]
 
 

@@ -165,9 +165,17 @@ def span(n: int, p: int, q: int) -> int:
     return (1 << (q + n)) - (1 << (p + n + 1)) & ~(1 << n)
 
 
+# Each byte with its bits in reverse order.
+_REVERSED = bytes(sum(1 << 7 - i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def _mirror(n: int, mask: int) -> int:
-    """The points of mask under the half turn v -> -v."""
-    return int(f"{mask:0{2 * n + 1}b}"[::-1], 2)
+    """The points of mask under the half turn v -> -v: bit i goes to bit
+    2n - i.  The bytes of mask are reversed, each byte's bits too, and the
+    padding above bit 2n is shifted out."""
+    width = 2 * n + 1
+    size = width + 7 >> 3
+    return int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED), "big") >> (size << 3) - width
 
 
 def antipode_key(n: int, key: Key) -> Key:
@@ -435,67 +443,109 @@ def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
 
 
 class KeyedArcs(NamedTuple):
-    """The arcs on n points in arc_key order, the key of each arc's main
-    piece (see main_piece), and every unfolded piece's key mapped to its
-    arc's index."""
+    """The key of each arc's main piece (see main_piece) for the arcs on n
+    points in arc_key order, and every unfolded piece's key mapped to its
+    arc's index.  arc_of_key builds the arc of a main key."""
 
-    arcs: Tuple[TypeBArc, ...]
     main: Tuple[Key, ...]
     index: Dict[Key, int]
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of mask, from mask itself down to 0."""
-    sub = mask
-    while True:
+def _lex_submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask in the lexicographic order of their points
+    listed lowest bit first: 0, then each submask holding the lowest bit b
+    of mask, then those whose lowest bit is above b.  Each step appends the
+    next bit of mask above the submask's highest, or else drops the highest
+    (the top bit of mask) and moves the one below it up to its next bit."""
+    sub = 0
+    yield sub
+    while mask:
+        above = mask >> sub.bit_length() << sub.bit_length()
+        if not above:
+            sub ^= 1 << sub.bit_length() - 1
+            if not sub:
+                return
+            top = sub.bit_length()
+            sub ^= 1 << top - 1
+            above = mask >> top << top
+        sub |= above & -above
         yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
+
+
+def main_key(n: int, arc: TypeBArc) -> Key:
+    """The key of main_piece(arc) on n >= top_point(arc) points."""
+    right = sum(1 << n + v for v in arc.right)
+    if isinstance(arc, OrdinaryArc):
+        return arc.bottom, arc.top, right
+    left = sum(1 << n - v for v in arc.left)
+    if isinstance(arc, OrbifoldArc):
+        return -arc.top, arc.top, right | left
+    return -arc.left_end, arc.right_end, right | left
+
+
+def arc_of_key(n: int, key: Key) -> TypeBArc:
+    """The arc whose main piece has key: the inverse of main_key."""
+    p, q, right = key
+    rights = frozenset(bits(right >> n))
+    if p > 0:
+        return OrdinaryArc(p, q, rights)
+    if p == -q:
+        return OrbifoldArc(q, rights)
+    return LongArc(-p, q, frozenset(n - i for i in bits(right & (1 << n) - 1)), rights)
 
 
 @lru_cache(maxsize=None)
 def keyed_arcs(n: int) -> KeyedArcs:
-    """Every arc on n points, enumerated as the key of its main piece.
+    """Every arc on n points, enumerated as the key of its main piece, in
+    arc_key order: each arc kind in turn, by endpoints, and then by side
+    sets, each read as its points in increasing order (see _lex_submasks).
 
     A long arc's right piece passes each point below both endpoints on at
     most one side, since its two side sets are disjoint, and passes the
     lower endpoint, the top of its antipode, on its left: passed on its
     right, that point would put the right piece left of its antipode.
-    LongArc checks that every arc so built is drawable.
+    Every long key so built is still checked to lie right of its antipode.
     """
     if n > 9:
         raise ScopeExceeded("arc enumeration supported up to n = 9")
+    main: List[Key] = []
+    index: Dict[Key, int] = {}
+    # flip[m]: the half turn of the positive points m << n.  An arc's
+    # antipode is (-q, -p, the half turn of its left points): see
+    # antipode_key, here with every mask split at the origin.
+    flip = [_mirror(n, m << n) for m in range(1 << n)]
 
-    def points(mask: int) -> frozenset:
-        return frozenset(abs(i - n) for i in bits(mask))
+    def add(key: Key, anti: Key) -> None:
+        index[key] = index[anti] = len(main)
+        main.append(key)
 
-    found: List[Tuple[TypeBArc, Key]] = []
+    for bottom in range(1, n + 1):
+        for top in range(bottom + 1, n + 1):
+            mid = span(n, bottom, top)
+            for right in _lex_submasks(mid):
+                add((bottom, top, right), (-top, -bottom, flip[(mid & ~right) >> n]))
     for top in range(1, n + 1):
         below = span(n, 0, top)
-        for bottom in range(1, top):
-            for right in _submasks(span(n, bottom, top)):
-                found.append((OrdinaryArc(bottom, top, points(right)), (bottom, top, right)))
-        for right in _submasks(below):
-            key = (-top, top, right | _mirror(n, below & ~right))
-            found.append((OrbifoldArc(top, points(right)), key))
+        for right in _lex_submasks(below):
+            key = (-top, top, right | flip[(below & ~right) >> n])
+            add(key, key)
     for left_end, right_end in itertools.permutations(range(1, n + 1), 2):
-        lefts = span(n, -left_end, 0) & ~(1 << (n - right_end))
-        for left in _submasks(lefts):
-            rights = span(n, 0, right_end) & ~_mirror(n, left) & ~(1 << (n + left_end))
-            for right in _submasks(rights):
-                arc = LongArc(left_end, right_end, points(left), points(right))
-                found.append((arc, (-left_end, right_end, left | right)))
-    found.sort(key=lambda f: f[0].key())
-    index: Dict[Key, int] = {}
-    for i, (arc, key) in enumerate(found):
-        index[key] = index[antipode_key(n, key)] = i
-    return KeyedArcs(tuple(arc for arc, _key in found), tuple(key for _arc, key in found), index)
+        mid = span(n, -right_end, left_end)
+        for lefts in _lex_submasks(span(n, 0, left_end) & ~(1 << (n + right_end))):
+            left = flip[lefts >> n]
+            for right in _lex_submasks(span(n, 0, right_end) & ~lefts & ~(1 << (n + left_end))):
+                key = (-left_end, right_end, left | right)
+                anti = (-right_end, left_end, mid & ~(lefts | flip[right >> n]))
+                if not _lies_right_of(n, key, anti):
+                    raise InvariantError(f"long arc key {key} on {n} points is not drawable")
+                add(key, anti)
+    return KeyedArcs(tuple(main), index)
 
 
 def all_arcs(n: int) -> List[TypeBArc]:
-    """Every quotient arc on n points; n = 9 has 19,673."""
-    return list(keyed_arcs(n).arcs)
+    """Every quotient arc on n points in arc_key order, each built from its
+    main key; n = 9 has 19,673."""
+    return [arc_of_key(n, key) for key in keyed_arcs(n).main]
 
 
 def all_diagrams(n: int) -> List[DiagramB]:

@@ -137,12 +137,23 @@ def _cambrian_contracts(arc: TypeBArc, rights: frozenset, lefts: frozenset) -> b
     return any(passes_right_of(arc, i) for i in rights) or any(passes_left_of(arc, i) for i in lefts)
 
 
+def _cambrian_mask(n: int, rights: Iterable[int], lefts: Iterable[int]) -> int:
+    """The arcs of subarc_table(n) that _cambrian_contracts, read off their
+    main keys (p, q, right) with left = span(n, p, q) & ~right: an arc
+    passes right of point i iff left has bit n + i or right has bit n - i,
+    and left of i iff right has bit n + i or left has bit n - i."""
+    rights, lefts = sum(1 << n + i for i in rights), sum(1 << n + i for i in lefts)
+    on_left, on_right = rights | arcs_b._mirror(n, lefts), lefts | arcs_b._mirror(n, rights)
+    keys = forcing.subarc_table(n).keys
+    return sum(1 << i for i, (p, q, right) in enumerate(keys)
+               if arcs_b.span(n, p, q) & ~right & on_left or right & on_right)
+
+
 def cambrian_congruence(n: int, d: Designation) -> ArcCongruence:
     """Contracts every arc passing right of a right point or left of a left one."""
     if d.n != n:
         raise ValueError("designation size mismatch")
-    rights, lefts = d.right_points(), d.left_points()
-    return ArcCongruence.from_arcs(n, _arcs_where(n, lambda arc: _cambrian_contracts(arc, rights, lefts)))
+    return ArcCongruence(n, _cambrian_mask(n, d.right_points(), d.left_points()))
 
 
 def _avoids(pi: SignedPermutation, order: Tuple[int, int, int], mids: frozenset) -> bool:

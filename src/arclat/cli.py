@@ -8,7 +8,8 @@ the congruence is built), congruences and arrows n >= 8, arcs n >= 10
 (type a n >= 17), diagrams n >= 6, shards beyond A4/B3, weak orders
 beyond A6/B4, suites bijections n >= 9, cambrian n >= 6, con-a n >= 4,
 forcing-closure n >= 7, symmetry n >= 5, octagon n != 2, map and render
-n >= 1001.  `arrows` takes two arcs (is there an arrow between them?) or
+n >= 1001, and arc or diagram JSON naming a point past 1000 in absolute
+value.  `arrows` takes two arcs (is there an arrow between them?) or
 none (every arrow at --n); one arc alone is a usage error.
 """
 

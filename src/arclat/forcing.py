@@ -246,33 +246,62 @@ def arrow_closure(arcs: Sequence[TypeBArc]) -> Dict[TypeBArc, frozenset]:
     }
 
 
-@lru_cache(maxsize=None)
-def _all_arcs(n: int) -> tuple:
-    """Every arc on n points; n = 8 has 6,552, too many for up-closure checks."""
+def _keyed_arcs(n: int) -> arcs_b.KeyedArcs:
+    """arcs_b.keyed_arcs(n), refused past n = 7: n = 8 has 6,552 arcs, too
+    many for up-closure checks."""
     if n > 7:
         raise ScopeExceeded("congruences and arrows supported up to n = 7")
+    return arcs_b.keyed_arcs(n)
+
+
+@lru_cache(maxsize=None)
+def _all_arcs(n: int) -> tuple:
+    """arcs_b.all_arcs(n), refused as _keyed_arcs(n) is."""
+    _keyed_arcs(n)
     return tuple(arcs_b.all_arcs(n))
 
 
 class ArcTable:
-    """One arc model on n points: its arcs in a fixed order, their index, and
-    one bitmask column and row per arc.  Column j has bit i set when arcs[i]
-    is related to arcs[j], and row i is the transpose: bit j set for the
-    same pairs.  Each is computed by column(j) or row(i) the first time it
-    is asked for and then kept, so a row costs no column.  col_cost[j] and
-    row_cost[i] estimate what computing each costs, in one unit for both."""
+    """One arc model on n points: the key of each arc in a fixed order, an
+    index from keys to arc positions, and one arc object, bitmask column
+    and bitmask row per arc.  key_of(arc) is the key that finds an arc in
+    index.  Column j has bit i set when arc i is related to arc j, and row
+    i is the transpose: bit j set for the same pairs.  Each arc, column and
+    row is computed, by arc_of(keys[i]), column(j) or row(i), the first
+    time it is asked for and then kept, so a row costs no column and a
+    mask of arcs builds only its own.  col_cost[j] and row_cost[i] estimate
+    what computing each column and row costs, in one unit for both."""
 
-    def __init__(self, n: int, arcs: Sequence, column: Callable[[int], int], row: Callable[[int], int],
+    def __init__(self, n: int, keys: Sequence, index: Dict, key_of: Callable, arc_of: Callable,
+                 column: Callable[[int], int], row: Callable[[int], int],
                  col_cost: Sequence[int], row_cost: Sequence[int]):
         self.n = n
-        self.arcs = tuple(arcs)
-        self.index = {a: i for i, a in enumerate(self.arcs)}
-        self.full = (1 << len(self.arcs)) - 1
+        self.keys, self.index = tuple(keys), index
+        self.key_of, self.arc_of = key_of, arc_of
+        self.full = (1 << len(self.keys)) - 1
         self.column, self.row_of = column, row
         self.col_cost, self.row_cost = col_cost, row_cost
-        self._cols: List[Optional[int]] = [None] * len(self.arcs)
-        self._rows: List[Optional[int]] = [None] * len(self.arcs)
+        self._arcs: List[Optional[object]] = [None] * len(self.keys)
+        self._cols: List[Optional[int]] = [None] * len(self.keys)
+        self._rows: List[Optional[int]] = [None] * len(self.keys)
         self._cols_todo = self._rows_todo = self.full  # the ones not yet kept
+
+    @property
+    def arcs(self) -> tuple:
+        """Every arc, in the table's order."""
+        return tuple(map(self.arc, range(len(self.keys))))
+
+    def arc(self, i: int):
+        if self._arcs[i] is None:
+            self._arcs[i] = self.arc_of(self.keys[i])
+        return self._arcs[i]
+
+    def index_of(self, arc) -> int:
+        key = self.key_of(arc)
+        i = None if key is None else self.index.get(key)
+        if i is None:
+            raise ValueError(f"{arc} does not fit on {self.n} points")
+        return i
 
     def cost(self, mask: int, rows: bool) -> int:
         """What reading the rows, or else the columns, of the arcs in mask
@@ -297,16 +326,24 @@ class ArcTable:
         return reduce(or_, map(self.row, bits(mask)), 0)
 
     def mask(self, arcs: Iterable) -> int:
-        out = 0
-        for arc in arcs:
-            i = self.index.get(arc)
-            if i is None:
-                raise ValueError(f"{arc} does not fit on {self.n} points")
-            out |= 1 << i
-        return out
+        return reduce(or_, (1 << self.index_of(arc) for arc in arcs), 0)
 
     def arcs_of(self, mask: int) -> frozenset:
-        return frozenset(self.arcs[i] for i in bits(mask))
+        return frozenset(map(self.arc, bits(mask)))
+
+
+def _type_b_table(n: int, column: Callable[[int], int], row: Callable[[int], int],
+                  col_cost: Sequence[int], row_cost: Sequence[int]) -> ArcTable:
+    """An ArcTable over the main keys of _keyed_arcs(n)."""
+    keyed = _keyed_arcs(n)
+
+    def key_of(arc) -> Optional[Key]:
+        if isinstance(arc, (OrdinaryArc, OrbifoldArc, LongArc)) and arcs_b.top_point(arc) <= n:
+            return arcs_b.main_key(n, arc)
+        return None
+
+    return ArcTable(n, keyed.main, keyed.index, key_of, lambda key: arcs_b.arc_of_key(n, key),
+                    column, row, col_cost, row_cost)
 
 
 # A subarc column makes one dict lookup per type-A subarc of its key and a
@@ -357,10 +394,9 @@ def subarc_table(n: int) -> ArcTable:
     Long(L1,R2;[],[]) are type-A subarcs of Orb(2;[]), yet it is no subarc.
     Row i tests the pieces of arc i against every main piece under the same
     rule."""
-    arcs = _all_arcs(n)
-    keyed = arcs_b.keyed_arcs(n)
-    long = [isinstance(a, LongArc) for a in arcs]
-    pieces: List[List[Key]] = [[] for _ in arcs]
+    keyed = _keyed_arcs(n)
+    long = [p < 0 and p != -q for p, q, _right in keyed.main]
+    pieces: List[List[Key]] = [[] for _ in keyed.main]
     for key, i in keyed.index.items():
         pieces[i].append(key)
     mains = [(j,) + key for j, key in enumerate(keyed.main)]
@@ -374,16 +410,15 @@ def subarc_table(n: int) -> ArcTable:
         return _superkeys(n, [keyed.main[i]], long_mains) if long[i] else _superkeys(n, pieces[i], mains)
 
     col_cost = [_lookup_cost(key) for key in keyed.main]
-    row_cost = [len(long_mains) if long[i] else len(pieces[i]) * len(mains) for i in range(len(arcs))]
-    return ArcTable(n, arcs, column, row, col_cost, row_cost)
+    row_cost = [len(long_mains) if long[i] else len(pieces[i]) * len(mains) for i in range(len(mains))]
+    return _type_b_table(n, column, row, col_cost, row_cost)
 
 
 @lru_cache(maxsize=None)
 def loose_subarc_table(n: int) -> ArcTable:
     arcs = _all_arcs(n)
-    return ArcTable(
+    return _type_b_table(
         n,
-        arcs,
         lambda j: sum(1 << i for i, a in enumerate(arcs) if is_loose_subarc(a, arcs[j])),
         lambda i: sum(1 << j for j, b in enumerate(arcs) if is_loose_subarc(arcs[i], b)),
         [len(arcs)] * len(arcs),
@@ -391,16 +426,23 @@ def loose_subarc_table(n: int) -> ArcTable:
     )
 
 
+def _key_a(n: int, arc: ArcA) -> Key:
+    return arc.bottom, arc.top, sum(1 << (v + n) for v in arc.right)
+
+
 @lru_cache(maxsize=None)
 def symmetric_subarc_table(n: int) -> ArcTable:
     """Plain arcs on the points -n..-1, 1..n under the type-A subarc order."""
     arcs = arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0])
-    keys = [(a.bottom, a.top, sum(1 << (v + n) for v in a.right)) for a in arcs]
+    keys = [_key_a(n, a) for a in arcs]
     index = {key: i for i, key in enumerate(keys)}
     mains = [(j,) + key for j, key in enumerate(keys)]
     return ArcTable(
         n,
-        arcs,
+        keys,
+        index,
+        lambda arc: _key_a(n, arc) if isinstance(arc, ArcA) and -n <= arc.bottom and arc.top <= n else None,
+        lambda key: arcs[index[key]],
         lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0),
         lambda i: _superkeys(n, [keys[i]], mains),
         [_lookup_cost(key) for key in keys],
@@ -411,7 +453,7 @@ def symmetric_subarc_table(n: int) -> ArcTable:
 @dataclass(frozen=True)
 class ArcCongruence:
     """A congruence of the type-B weak order as the bitmask of its contracted
-    arcs: bit i stands for table(n).arcs[i]."""
+    arcs: bit i stands for table(n).arc(i)."""
 
     n: int
     mask: int
@@ -423,11 +465,11 @@ class ArcCongruence:
         # columns, whichever costs less to compute.
         table, mask = self.table(self.n), self.mask
         if mask < 0 or mask & ~table.full:
-            raise ValueError(f"mask {mask:#x} has bits outside the {len(table.arcs)} arcs on {self.n} points")
+            raise ValueError(f"mask {mask:#x} has bits outside the {len(table.keys)} arcs on {self.n} points")
         rows = table.cost(mask, True) <= table.cost(table.full & ~mask, False)
         bad = _first_unclosed(table, mask, rows)
         if bad is not None:
-            raise ValueError(f"contracted set not closed above {table.arcs[bad]}")
+            raise ValueError(f"contracted set not closed above {table.arc(bad)}")
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable) -> "ArcCongruence":
@@ -491,7 +533,7 @@ def meet_irreducible_congruence(n: int, arc: TypeBArc) -> ArcCongruence:
     """The coarsest congruence not contracting the given arc: its
     uncontracted arcs are exactly the subarcs of the arc."""
     table = subarc_table(n)
-    return ArcCongruence(n, table.full & ~table.col(table.index[arc]))
+    return ArcCongruence(n, table.full & ~table.col(table.index_of(arc)))
 
 
 # project no longer reads this cache; it stays for benchmark cache reports.
@@ -729,7 +771,7 @@ def quotient_lattice(theta: ArcCongruence) -> FiniteLattice:
 def all_congruences(n: int) -> List[ArcCongruence]:
     """Every congruence: up-closed subsets of the subarc order."""
     table = subarc_table(n)
-    rows = [table.row(i) | 1 << i for i in range(len(table.arcs))]
+    rows = [table.row(i) | 1 << i for i in range(len(table.keys))]
     return [ArcCongruence(n, mask) for mask in closed_sets(rows)]
 
 
@@ -749,7 +791,7 @@ class ArcCongruenceA(ArcCongruence):
 def _antipodes(n: int) -> tuple:
     """arcs_a.antipode as a permutation of symmetric_subarc_table(n)'s indices."""
     table = symmetric_subarc_table(n)
-    return tuple(table.index[arcs_a.antipode(a)] for a in table.arcs)
+    return tuple(table.index[arcs_b.antipode_key(n, key)] for key in table.keys)
 
 
 def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...]:

@@ -14,6 +14,7 @@ from .arcs_a import ArcA, DiagramA
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc
 from .forcing import ArcCongruence
 from .permutations import Permutation, SignedPermutation
+from .util import MAX_POINTS, ScopeExceeded
 
 
 def _int(value) -> int:
@@ -24,8 +25,18 @@ def _int(value) -> int:
     return value
 
 
-def _ints(values: Iterable) -> frozenset:
-    return frozenset(map(_int, values))
+def _point(value) -> int:
+    """A JSON integer that names a point or a number of points, refused with
+    ScopeExceeded past util.MAX_POINTS either way, before anything is built
+    from it."""
+    value = _int(value)
+    if abs(value) > MAX_POINTS:
+        raise ScopeExceeded(f"points supported up to {MAX_POINTS}, got {value}")
+    return value
+
+
+def _points(values: Iterable) -> frozenset:
+    return frozenset(map(_point, values))
 
 
 def arc_a_to_json(arc: ArcA) -> dict:
@@ -40,7 +51,7 @@ def arc_a_to_json(arc: ArcA) -> dict:
 def arc_a_from_json(data: dict) -> ArcA:
     if (data["kind"] if "kind" in data else "ordinary") != "ordinary":
         raise ValueError("plain arcs must have kind 'ordinary'")
-    return arcs_a.make_arc(_int(data["bottom"]), _int(data["top"]), [_int(v) for v in data["right"]])
+    return arcs_a.make_arc(_point(data["bottom"]), _point(data["top"]), _points(data["right"]))
 
 
 def arc_b_to_json(arc: TypeBArc) -> dict:
@@ -65,11 +76,11 @@ def arc_b_to_json(arc: TypeBArc) -> dict:
 def arc_b_from_json(data: dict) -> TypeBArc:
     kind = data["kind"]
     if kind == "ordinary":
-        return OrdinaryArc(_int(data["bottom"]), _int(data["top"]), _ints(data["right"]))
+        return OrdinaryArc(_point(data["bottom"]), _point(data["top"]), _points(data["right"]))
     if kind == "orbifold":
-        return OrbifoldArc(_int(data["top"]), _ints(data["right"]))
+        return OrbifoldArc(_point(data["top"]), _points(data["right"]))
     if kind == "long":
-        return LongArc(_int(data["left"]), _int(data["right_ep"]), _ints(data["L"]), _ints(data["R"]))
+        return LongArc(_point(data["left"]), _point(data["right_ep"]), _points(data["L"]), _points(data["R"]))
     raise ValueError(f"unknown arc kind {kind!r}")
 
 
@@ -81,7 +92,7 @@ def diagram_a_to_json(diagram: DiagramA) -> dict:
 
 
 def _diagram_rank(data: dict) -> int:
-    n = _int(data["n"])
+    n = _point(data["n"])
     if n < 1:
         raise ValueError(f"a diagram needs at least one point, got n = {n}")
     return n

@@ -126,11 +126,20 @@ def test_keyed_arcs_index_every_unfolded_piece(n):
     def key(a):  # point v at bit v + n
         return a.bottom, a.top, sum(1 << (v + n) for v in a.right)
 
-    keyed = arcs_b.keyed_arcs(n)
-    assert keyed.index == {key(a): i for i, arc in enumerate(keyed.arcs) for a in arcs_b.unfold_arcs(arc)}
-    assert keyed.main == tuple(key(arcs_b.main_piece(arc)) for arc in keyed.arcs)
-    for arc, main in zip(keyed.arcs, keyed.main):
+    keyed, arcs = arcs_b.keyed_arcs(n), arcs_b.all_arcs(n)
+    assert keyed.index == {key(a): i for i, arc in enumerate(arcs) for a in arcs_b.unfold_arcs(arc)}
+    assert keyed.main == tuple(key(arcs_b.main_piece(arc)) for arc in arcs)
+    for arc, main in zip(arcs, keyed.main):
         assert arcs_b.antipode_key(n, main) == key(arcs_a.antipode(arcs_b.main_piece(arc)))
+
+
+def test_mirror_matches_the_reversed_binary_string():
+    """_mirror takes bit i to bit 2n - i: the reference reverses the mask
+    written as 2n + 1 binary digits, over every mask at n = 1..7."""
+    for n in range(1, 8):
+        width = 2 * n + 1
+        for mask in range(1 << width):
+            assert arcs_b._mirror(n, mask) == int(f"{mask:0{width}b}"[::-1], 2), (n, mask)
 
 
 def test_main_piece_of_a_long_arc_is_its_right_copy():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from arclat.catalog import (
     passes_left_of,
     passes_right_of,
 )
+from arclat.forcing import ArcCongruence
 from arclat.permutations import (
     CoxeterType,
     SignedPermutation,
@@ -121,6 +123,52 @@ def test_cambrian_quotient_sizes(n, expect):
         theta = cambrian_congruence(n, d)
         assert len(forcing.quotient_elements(theta)) == expect
         assert expect == math.comb(2 * n, n)
+
+
+def test_key_predicate_matches_passes_on_every_arc_and_point():
+    """_cambrian_mask with one designated point is the set of arcs passing
+    right of it (a right point) or left of it (a left point), over every
+    arc and point at n = 1..7."""
+    cases = 0
+    for n in range(1, 8):
+        arcs = forcing._all_arcs(n)
+        for i in range(1, n + 1):
+            for pred, rights, lefts in ((passes_right_of, [i], []), (passes_left_of, [], [i])):
+                want = sum(1 << k for k, arc in enumerate(arcs) if pred(arc, i))
+                assert catalog._cambrian_mask(n, rights, lefts) == want, (n, i, pred.__name__)
+            cases += len(arcs)
+    assert cases == 21156
+
+
+def test_cambrian_mask_matches_the_object_definition():
+    """cambrian_congruence's key-built mask equals the congruence from the
+    arcs that _cambrian_contracts picks, for every designation at n <= 5 and
+    a seeded sample at n = 6 and 7."""
+    rng = random.Random(22)
+    designations = [sides for n in range(2, 6) for sides in itertools.product("RL", repeat=n - 1)]
+    designations += [tuple(rng.choice("RL") for _ in range(n - 1)) for n in (6, 7) for _ in range(2)]
+    for sides in designations:
+        d = Designation(sides)
+        rights, lefts = d.right_points(), d.left_points()
+        objects = catalog._arcs_where(d.n, lambda arc: catalog._cambrian_contracts(arc, rights, lefts))
+        assert cambrian_congruence(d.n, d) == ArcCongruence.from_arcs(d.n, objects), sides
+
+
+def test_cambrian_uncontracted_builds_only_its_arcs(monkeypatch):
+    """At n = 7 the congruence is found on keys alone, and its 49
+    uncontracted arcs are the only arc objects built, on a fresh table."""
+    built, real = [], arcs_b.arc_of_key
+
+    def counted(n, key):
+        built.append(key)
+        return real(n, key)
+
+    forcing.subarc_table.cache_clear()
+    monkeypatch.setattr(arcs_b, "arc_of_key", counted)
+    theta = cambrian_congruence(7, Designation.parse("RRRRRR"))
+    assert built == []
+    assert len(theta.uncontracted()) == 49
+    assert len(built) == 49
 
 
 def avoids_by_triples(pi, order, mids):

@@ -144,7 +144,7 @@ def test_long_arc_counts_only_through_its_main_piece():
     assert all(arcs_a.is_subarc(a, piece) for a in arcs_b.unfold_arcs(long))
     assert not is_subarc(long, orb)
     table = forcing.subarc_table(2)
-    assert not table.col(table.index[orb]) >> table.index[long] & 1
+    assert not table.col(table.index_of(orb)) >> table.index_of(long) & 1
 
 
 def test_loose_subarc_extends_subarc():

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -334,6 +335,8 @@ REFUSED = [
     ["map", "--type", "b", "--perm", json.dumps(list(range(-1, -1002, -1)))],
     ["map", "--type", "a", "--diagram", '{"n":1001,"arcs":[]}'],
     ["map", "--type", "b", "--diagram", '{"n":1001,"arcs":[]}'],
+    ["map", "--type", "b", "--diagram", '{"n":3,"arcs":[{"kind":"ordinary","bottom":1,"top":3000000,"right":[]}]}'],
+    ["map", "--type", "a", "--diagram", '{"n":3,"arcs":[{"kind":"ordinary","bottom":1,"top":3000000,"right":[]}]}'],
 ]
 
 
@@ -349,6 +352,36 @@ def test_refusals_are_immediate(argv):
     code, _, err = run_cli_full(*argv)
     assert code == 3 and err.startswith("error:")
     assert time.perf_counter() - start < 2
+
+
+FAR = 200_000  # a point past MAX_POINTS; a point range this long takes megabytes
+OVERSIZED = [
+    ("a", {"n": FAR, "arcs": []}),
+    ("a", {"n": 3, "arcs": [{"kind": "ordinary", "bottom": 1, "top": FAR, "right": []}]}),
+    ("a", {"n": 3, "arcs": [{"kind": "ordinary", "bottom": -FAR, "top": 2, "right": []}]}),
+    ("b", {"n": FAR, "arcs": []}),
+    ("b", {"n": 3, "arcs": [{"kind": "ordinary", "bottom": 1, "top": FAR, "right": []}]}),
+    ("b", {"n": 3, "arcs": [{"kind": "ordinary", "bottom": 1, "top": 3, "right": [FAR]}]}),
+    ("b", {"n": 3, "arcs": [{"kind": "orbifold", "top": FAR, "right": []}]}),
+    ("b", {"n": 3, "arcs": [{"kind": "long", "left": FAR, "right_ep": 1, "L": [], "R": []}]}),
+    ("b", {"n": 3, "arcs": [{"kind": "long", "left": 2, "right_ep": 1, "L": [FAR], "R": []}]}),
+]
+
+
+@pytest.mark.parametrize("kind,diagram", OVERSIZED)
+def test_oversized_diagram_json_is_refused_before_anything_is_built(kind, diagram):
+    """A point, a side point or a rank past MAX_POINTS is refused with exit 3
+    while decoding, in less memory than a point range to it would take."""
+    text = json.dumps(diagram)
+    run_cli_full("map", "--type", kind, "--diagram", '{"n":1,"arcs":[]}')  # builds the parser
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli_full("map", "--type", kind, "--diagram", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("error: points supported up to 1000, got ")
+    assert peak < 100_000
 
 
 WRONG = [[], {}, 5, None, "2", "x", True, -1, 0, 9, 1.5, float("inf"), [5], {"kind": "bogus"}]

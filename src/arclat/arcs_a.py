@@ -12,9 +12,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .util import MAX_POINTS, ScopeExceeded, between, components
+from .util import MAX_POINTS, ScopeExceeded, between, components, passed
 
 Word = Tuple[int, ...]
 
@@ -29,9 +30,14 @@ class ArcA:
     def __post_init__(self):
         if self.bottom >= self.top or 0 in (self.bottom, self.top):
             raise ValueError(f"bad endpoints ({self.bottom}, {self.top})")
-        mid = frozenset(between(self.bottom, self.top))
-        if self.left & self.right or (self.left | self.right) != mid:
+        if self.left & self.right or (self.left | self.right) != passed(self.bottom, self.top):
             raise ValueError("side sets must partition the points strictly between")
+
+    @cached_property
+    def masks(self) -> Tuple[int, int, int]:
+        """The point masks (see _point_mask) of the left points, the right
+        points and the two endpoints, computed the first time they are read."""
+        return _point_mask(self.left), _point_mask(self.right), _point_mask((self.bottom, self.top))
 
     def key(self) -> tuple:
         return (self.bottom, self.top, tuple(sorted(self.right)))
@@ -43,7 +49,13 @@ class ArcA:
 
 def make_arc(bottom: int, top: int, right: Iterable[int] = ()) -> ArcA:
     right = frozenset(right)
-    return ArcA(bottom, top, frozenset(between(bottom, top)) - right, right)
+    return ArcA(bottom, top, passed(bottom, top) - right, right)
+
+
+def _point_mask(points: Iterable[int]) -> int:
+    """Points as a bitmask, v > 0 at bit 2v and v < 0 at bit -2v - 1, so
+    that the masks of any two arcs compare bit by bit."""
+    return sum(1 << (2 * v if v > 0 else -1 - 2 * v) for v in points)
 
 
 def antipode(arc: ArcA) -> ArcA:
@@ -76,41 +88,36 @@ class DiagramA:
         return f"DiagramA({sorted(self.arcs, key=ArcA.key)})"
 
 
+def _votes(a: ArcA, b: ArcA) -> Tuple[int, int]:
+    """The points at which a lies left of b, and those at which it lies right
+    of b: an endpoint of one that the other passes, or a point they pass on
+    opposite sides."""
+    left_a, right_a, ends_a = a.masks
+    left_b, right_b, ends_b = b.masks
+    return (
+        ends_a & left_b | ends_b & right_a | right_a & left_b,
+        ends_a & right_b | ends_b & left_a | left_a & right_b,
+    )
+
+
 def relation(a: ArcA, b: ArcA) -> Optional[str]:
     """Where a sits relative to b at shared heights: "left", "right", or None.
 
     Returns None when no height forces a relation; raises ValueError when the
     forced relations disagree (the arcs cross).
     """
-    votes = set()
-    for v in (a.bottom, a.top):
-        if v in b.left:
-            votes.add("left")
-        elif v in b.right:
-            votes.add("right")
-    for v in (b.bottom, b.top):
-        if v in a.left:
-            votes.add("right")
-        elif v in a.right:
-            votes.add("left")
-    for v in a.left & b.right:
-        votes.add("right")
-    for v in a.right & b.left:
-        votes.add("left")
-    if len(votes) > 1:
+    left, right = _votes(a, b)
+    if left and right:
         raise ValueError(f"arcs {a} and {b} cross")
-    return votes.pop() if votes else None
+    return "left" if left else "right" if right else None
 
 
 def compatible(a: ArcA, b: ArcA) -> bool:
     """Arcs can coexist in a diagram: no shared top or bottom, no crossing."""
     if a.top == b.top or a.bottom == b.bottom:
         return False
-    try:
-        relation(a, b)
-    except ValueError:
-        return False
-    return True
+    left, right = _votes(a, b)
+    return not (left and right)
 
 
 def descent_arcs(word: Word) -> List[Tuple[int, ArcA]]:
@@ -120,16 +127,15 @@ def descent_arcs(word: Word) -> List[Tuple[int, ArcA]]:
     and passes right of all intermediate values placed before the descent,
     left of those placed after it.
     """
-    pos = {v: i for i, v in enumerate(word)}
-    out = []
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            q, p = word[i], word[i + 1]
-            left, right = [], []
-            for v in between(p, q):
-                (left if pos[v] < i else right).append(v)
-            out.append((i, ArcA(p, q, frozenset(left), frozenset(right))))
-    return out
+    return [(i, _descent_arc(word, i)) for i in range(len(word) - 1) if word[i] > word[i + 1]]
+
+
+def _descent_arc(word: Word, i: int) -> ArcA:
+    """The arc of the descent word[i] > word[i + 1] (see descent_arcs)."""
+    p, q = word[i + 1], word[i]
+    mid = passed(p, q)
+    right = mid.intersection(word[i + 2:])
+    return ArcA(p, q, mid - right, right)
 
 
 def diagram_of(word: Word) -> DiagramA:
@@ -139,28 +145,17 @@ def diagram_of(word: Word) -> DiagramA:
     return DiagramA(frozenset(word), frozenset(arc for _i, arc in descent_arcs(word)))
 
 
-def _blocks(points: set, arcs: set) -> List[dict]:
+def _blocks(points: set, arcs: set) -> List[Tuple[frozenset, int, int, int]]:
+    """The connected components of a diagram: each one's points, and the
+    point masks of its points and of the points left and right of its arcs."""
     comp = components(points, ((arc.bottom, arc.top) for arc in arcs))
-    groups = {c: {"points": c, "arcs": []} for c in set(comp.values())}
+    sides = {c: [0, 0] for c in set(comp.values())}
     for arc in arcs:
-        groups[comp[arc.bottom]]["arcs"].append(arc)
-    return list(groups.values())
-
-
-def _block_left_of(c: dict, b: dict) -> bool:
-    """True if block c lies to the left of block b at some shared height."""
-    for arc_b in b["arcs"]:
-        for v in c["points"]:
-            if v in arc_b.left:
-                return True
-        for arc_c in c["arcs"]:
-            if relation(arc_c, arc_b) == "left":
-                return True
-    for arc_c in c["arcs"]:
-        for v in b["points"]:
-            if v in arc_c.right:
-                return True
-    return False
+        left, right, _ends = arc.masks
+        side = sides[comp[arc.bottom]]
+        side[0] |= left
+        side[1] |= right
+    return [(c, _point_mask(c), left, right) for c, (left, right) in sides.items()]
 
 
 def word_of(diagram: DiagramA) -> Word:
@@ -177,21 +172,25 @@ def word_of(diagram: DiagramA) -> Word:
     blocks = _blocks(set(diagram.points), set(diagram.arcs))
     blockers = [0] * len(blocks)
     right_of: list = [[] for _ in blocks]
-    for i, b in enumerate(blocks):
-        for k, c in enumerate(blocks):
-            if k != i and (b["arcs"] or c["arcs"]) and _block_left_of(c, b):
+    # Block c lies left of block b when a point of c is left of an arc of
+    # b, a point of b right of an arc of c, or an arc of c passes right of
+    # a point that an arc of b passes on its left: then the arcs' relation
+    # is "left", as they do not cross.
+    for i, (_, points_b, left_b, _) in enumerate(blocks):
+        for k, (_, points_c, _, right_c) in enumerate(blocks):
+            if k != i and (points_c & left_b or points_b & right_c or right_c & left_b):
                 blockers[i] += 1
                 right_of[k].append(i)
-    ready = [(min(b["points"]), i) for i, b in enumerate(blocks) if not blockers[i]]
+    ready = [(min(b[0]), i) for i, b in enumerate(blocks) if not blockers[i]]
     heapq.heapify(ready)
     out: list = []
     while ready:
         _low, i = heapq.heappop(ready)
-        out.extend(sorted(blocks[i]["points"], reverse=True))
+        out.extend(sorted(blocks[i][0], reverse=True))
         for k in right_of[i]:
             blockers[k] -= 1
             if not blockers[k]:
-                heapq.heappush(ready, (min(blocks[k]["points"]), k))
+                heapq.heappush(ready, (min(blocks[k][0]), k))
     if len(out) != len(diagram.points):
         raise ValueError("blocks of the diagram lie left of each other in a cycle")
     return tuple(out)
@@ -214,10 +213,10 @@ def join_irreducible_word(arc: ArcA, n: int) -> Word:
 
 def arc_of_join_irreducible(word: Word) -> ArcA:
     """The single arc of a one-descent word."""
-    arcs = descent_arcs(word)
-    if len(arcs) != 1:
+    steps = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
+    if len(steps) != 1:
         raise ValueError(f"{word} does not have exactly one descent")
-    return arcs[0][1]
+    return _descent_arc(word, steps[0])
 
 
 def is_subarc(sub: ArcA, sup: ArcA) -> bool:
@@ -225,7 +224,7 @@ def is_subarc(sub: ArcA, sup: ArcA) -> bool:
     return (
         sup.bottom <= sub.bottom
         and sub.top <= sup.top
-        and sub.right == sup.right & frozenset(between(sub.bottom, sub.top))
+        and sub.right == sup.right & passed(sub.bottom, sub.top)
     )
 
 

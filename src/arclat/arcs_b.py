@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 from . import arcs_a
 from .arcs_a import ArcA, DiagramA, ShardDescriptor
 from .permutations import SignedPermutation, fold, is_join_irreducible_signed
-from .util import MAX_POINTS, InvariantError, ScopeExceeded, between, bits
+from .util import MAX_POINTS, InvariantError, ScopeExceeded, between, bits, passed
 
 Word = Tuple[int, ...]
 Key = Tuple[int, int, int]
@@ -50,12 +50,12 @@ class OrdinaryArc:
     def __post_init__(self):
         if not 0 < self.bottom < self.top:
             raise InvalidArc(f"bad ordinary endpoints ({self.bottom}, {self.top})")
-        if not self.right <= frozenset(between(self.bottom, self.top)):
+        if not self.right <= passed(self.bottom, self.top):
             raise InvalidArc("right points must lie strictly between the endpoints")
 
     @property
     def left(self) -> frozenset:
-        return frozenset(between(self.bottom, self.top)) - self.right
+        return passed(self.bottom, self.top) - self.right
 
     def key(self) -> tuple:
         return (0, self.bottom, self.top, tuple(sorted(self.right)))
@@ -72,12 +72,12 @@ class OrbifoldArc:
     def __post_init__(self):
         if self.top < 1:
             raise InvalidArc(f"bad orbifold endpoint {self.top}")
-        if not self.right <= frozenset(range(1, self.top)):
+        if not self.right <= passed(0, self.top):
             raise InvalidArc("right points must lie below the endpoint")
 
     @property
     def left(self) -> frozenset:
-        return frozenset(range(1, self.top)) - self.right
+        return passed(0, self.top) - self.right
 
     def key(self) -> tuple:
         return (1, self.top, tuple(sorted(self.right)))
@@ -99,9 +99,9 @@ class LongArc:
     def __post_init__(self):
         if self.left_end == self.right_end or self.left_end < 1 or self.right_end < 1:
             raise InvalidArc(f"bad long endpoints ({self.left_end}, {self.right_end})")
-        if not self.left <= frozenset(range(1, self.left_end)):
+        if not self.left <= passed(0, self.left_end):
             raise InvalidArc("left points must lie below the left endpoint")
-        if not self.right <= frozenset(range(1, self.right_end)):
+        if not self.right <= passed(0, self.right_end):
             raise InvalidArc("right points must lie below the right endpoint")
         if self.left & self.right:
             raise InvalidArc("left and right points must be disjoint")
@@ -110,8 +110,7 @@ class LongArc:
 
     @property
     def between_pieces(self) -> frozenset:
-        lo = min(self.left_end, self.right_end)
-        return frozenset(range(1, lo)) - self.left - self.right
+        return passed(0, min(self.left_end, self.right_end)) - self.left - self.right
 
     def key(self) -> tuple:
         return (2, self.left_end, self.right_end, tuple(sorted(self.left)), tuple(sorted(self.right)))
@@ -136,17 +135,10 @@ def top_point(arc: TypeBArc) -> int:
 
 
 def _unfold_long_raw(left_end: int, right_end: int, left: frozenset, right: frozenset) -> Tuple[ArcA, ArcA]:
-    """The antipodal pair of the long arc; first component is the right copy."""
-    p, q = -left_end, right_end
-    right_a = set()
-    for v in between(p, q):
-        if v > 0:
-            if v in right:
-                right_a.add(v)
-        else:
-            if -v in left:
-                right_a.add(v)
-    a = ArcA(p, q, frozenset(between(p, q)) - frozenset(right_a), frozenset(right_a))
+    """The antipodal pair of the long arc; first component is the right copy,
+    which passes right of the points of right and of -v for v in left."""
+    right_a = right.union(-v for v in left)
+    a = ArcA(-left_end, right_end, passed(-left_end, right_end) - right_a, right_a)
     return a, arcs_a.antipode(a)
 
 
@@ -228,14 +220,14 @@ class SymmetricArc:
     def __post_init__(self):
         if self.radius < 1:
             raise InvalidArc(f"bad radius {self.radius}")
-        mid = frozenset(between(-self.radius, self.radius))
+        mid = passed(-self.radius, self.radius)
         if not self.right <= mid or any(-v in self.right for v in self.right):
             raise InvalidArc("right set must pick one of each antipodal pair")
         if len(self.right) * 2 != len(mid):
             raise InvalidArc("right set must pick one of each antipodal pair")
 
     def as_arc(self) -> ArcA:
-        mid = frozenset(between(-self.radius, self.radius))
+        mid = passed(-self.radius, self.radius)
         return ArcA(-self.radius, self.radius, mid - self.right, self.right)
 
 
@@ -313,9 +305,8 @@ def main_piece(arc: TypeBArc) -> ArcA:
 def compatible(a: TypeBArc, b: TypeBArc) -> bool:
     """Arcs can coexist in a diagram: every unfolded arc of one is compatible
     with every unfolded arc of the other."""
-    return all(
-        arcs_a.compatible(x, y) for x in unfold_arcs(a) for y in unfold_arcs(b)
-    )
+    pieces = unfold_arcs(b)
+    return all(arcs_a.compatible(x, y) for x in unfold_arcs(a) for y in pieces)
 
 
 @dataclass(frozen=True)
@@ -349,38 +340,29 @@ def _fold_pair_from_right_arc(a: ArcA) -> TypeBArc:
 
 def signed_descent_arcs(pi: SignedPermutation) -> List[Tuple[object, TypeBArc]]:
     """One quotient arc per lower cover of pi, keyed by "center" or the
-    short descent position k (0-based), the centre first.  Each is read off
-    the short word w, where u > 0 appears when the entry u, not -u, is in w:
-    - the centre, w[0] < 0: Orb(-w[0]), right of the u < -w[0] that appear;
-    - a descent a = w[k] > b = w[k + 1] > 0: Ord(b, a), right of the u
-      between b and a that appear after position k + 1;
-    - a descent 0 > a > b: Ord(-a, -b), right of the u between -a and -b
-      that appear, or whose -u comes before position k;
-    - a descent a > 0 > b: Long(L-b, Ra), right of the u < a that appear
-      after position k + 1 and left of the u < -b whose -u comes after it.
-    """
-    w = pi.word
-    at = {v: i for i, v in enumerate(w)}
+    short descent position k (0-based), the centre first.  The descent
+    w[k] > w[k + 1] unfolds to the piece from w[k + 1] up to w[k], and the
+    centre, w[0] < 0, to the piece from w[0] up to -w[0]; each passes right
+    of the points between its ends that come after it in w (see
+    forcing.contracted_descent), read right to left in one pass."""
+    w, n = pi.word, pi.n
     out: List[Tuple[object, TypeBArc]] = []
-    if w[0] < 0:
-        out.append(("center", OrbifoldArc(-w[0], frozenset(u for u in range(1, -w[0]) if u in at))))
-    for k in range(len(w) - 1):
-        a, b = w[k], w[k + 1]
-        if a < b:
-            continue
-        if b > 0:
-            arc = OrdinaryArc(b, a, frozenset(u for u in range(b + 1, a) if at.get(u, -1) > k + 1))
-        elif a < 0:
-            arc = OrdinaryArc(-a, -b, frozenset(u for u in range(1 - a, -b) if u in at or at[-u] < k))
-        else:
-            arc = LongArc(
-                -b,
-                a,
-                frozenset(u for u in range(1, -b) if at.get(-u, -1) > k + 1),
-                frozenset(u for u in range(1, a) if at.get(u, -1) > k + 1),
-            )
-        out.append((k, arc))
-    return out
+    after, p = 0, w[-1]
+    for k in range(n - 2, -1, -1):
+        q = w[k]
+        if q > p:
+            out.append((k, _piece_arc(n, piece_key(n, p, q, after))))
+        after |= 1 << (p + n)
+        p = q
+    if p < 0:
+        out.append(("center", _piece_arc(n, piece_key(n, p, -p, after))))
+    return out[::-1]
+
+
+def _piece_arc(n: int, key: Key) -> TypeBArc:
+    """The arc with an unfolded piece of key: the piece is the main piece
+    (see main_piece) unless both its ends are negative, when its antipode is."""
+    return arc_of_key(n, key if key[1] > 0 else antipode_key(n, key))
 
 
 def diagram_of_signed(pi: SignedPermutation) -> DiagramB:
@@ -433,13 +415,19 @@ def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
 
 
 def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
-    """The unique arc in the diagram of a join-irreducible signed permutation."""
+    """The unique arc in the diagram of a join-irreducible signed permutation,
+    read off its one descent (see signed_descent_arcs)."""
     if not is_join_irreducible_signed(pi):
         raise NotJoinIrreducible(f"{pi} is not join-irreducible")
-    arcs = diagram_of_signed(pi).arcs
-    if len(arcs) != 1:
-        raise InvariantError(f"diagram of join-irreducible {pi} has {len(arcs)} arcs")
-    return next(iter(arcs))
+    w, n = pi.word, pi.n
+    steps = [k for k in range(n - 1) if w[k] > w[k + 1]]
+    if w[0] < 0:
+        steps.append(-1)
+    if len(steps) != 1:
+        raise InvariantError(f"diagram of join-irreducible {pi} has {len(steps)} arcs")
+    k = steps[0]
+    p, q = (w[0], -w[0]) if k < 0 else (w[k + 1], w[k])
+    return _piece_arc(n, piece_key(n, p, q, sum(1 << (v + n) for v in w[k + 2:])))
 
 
 class KeyedArcs(NamedTuple):

@@ -33,16 +33,11 @@ from .arcs_b import (
 )
 from .lattice import FiniteLattice, build_lattice
 from .permutations import SignedPermutation, check_signed_rank, signed_words
-from .util import InvariantError, ScopeExceeded, between, bits, closed_sets, transitive_closure
+from .util import InvariantError, ScopeExceeded, bits, closed_sets, passed, transitive_closure
 
 
 class NotInConA(ValueError):
     """Raised when lifting a congruence with no symmetric preimage."""
-
-
-@lru_cache(maxsize=None)
-def _rng(lo: int, hi: int) -> frozenset:
-    return frozenset(range(lo + 1, hi))
 
 
 def is_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
@@ -58,19 +53,19 @@ def is_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
             p2, q2 = sub.bottom, sub.top
         return (
             p <= p2 < q2 <= q
-            and sub.right == sup.right & _rng(p2, q2)
+            and sub.right == sup.right & passed(p2, q2)
         )
     # sup is long
     p, q = sup.left_end, sup.right_end
     if isinstance(sub, OrdinaryArc):
-        if sub.top <= p and sub.left == sup.left & _rng(sub.bottom, sub.top):
+        if sub.top <= p and sub.left == sup.left & passed(sub.bottom, sub.top):
             return True
-        return sub.top <= q and sub.right == sup.right & _rng(sub.bottom, sub.top)
+        return sub.top <= q and sub.right == sup.right & passed(sub.bottom, sub.top)
     if isinstance(sub, OrbifoldArc):
         return (
             sub.top <= min(p, q)
-            and sub.left == sup.left & _rng(0, sub.top)
-            and sub.right == sup.right & _rng(0, sub.top)
+            and sub.left == sup.left & passed(0, sub.top)
+            and sub.right == sup.right & passed(0, sub.top)
         )
     # The attachment at an endpoint of the piece being cut can only cross the
     # other piece when that other piece reaches above the attachment height,
@@ -78,8 +73,8 @@ def is_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
     return (
         sub.left_end <= p
         and sub.right_end <= q
-        and sub.left == sup.left & _rng(0, sub.left_end)
-        and sub.right == sup.right & _rng(0, sub.right_end)
+        and sub.left == sup.left & passed(0, sub.left_end)
+        and sub.right == sup.right & passed(0, sub.right_end)
         and (sub.left_end > sub.right_end or sub.left_end not in sup.right)
         and (sub.right_end > sub.left_end or sub.right_end not in sup.left)
     )
@@ -90,22 +85,18 @@ def is_subarc_symmetric(sub: SymArcOrPair, sup: SymArcOrPair) -> bool:
     if isinstance(sup, SymmetricArc):
         full = sup.as_arc()
         if isinstance(sub, SymmetricArc):
-            return sub.radius <= sup.radius and sub.right == full.right & frozenset(
-                between(-sub.radius, sub.radius)
-            )
+            return sub.radius <= sup.radius and sub.right == full.right & passed(-sub.radius, sub.radius)
         if sub.overlapping:
             return False
         a = sub.positive_arc()
-        return a.top <= sup.radius and a.right == full.right & frozenset(
-            between(a.bottom, a.top)
-        )
+        return a.top <= sup.radius and a.right == full.right & passed(a.bottom, a.top)
     if not sup.overlapping:
         if isinstance(sub, SymmetricArc) or sub.overlapping:
             return False
         a, s = sub.positive_arc(), sup.positive_arc()
         return (
             s.bottom <= a.bottom < a.top <= s.top
-            and a.right == s.right & frozenset(between(a.bottom, a.top))
+            and a.right == s.right & passed(a.bottom, a.top)
         )
     s = sup.right_arc()
     p, q = s.bottom, s.top
@@ -114,14 +105,14 @@ def is_subarc_symmetric(sub: SymArcOrPair, sup: SymArcOrPair) -> bool:
         other = arcs_a.antipode(s)
         return (
             p <= a.bottom < a.top <= q
-            and a.right == s.right & frozenset(between(a.bottom, a.top))
-            and a.right == other.right & frozenset(between(a.bottom, a.top))
+            and a.right == s.right & passed(a.bottom, a.top)
+            and a.right == other.right & passed(a.bottom, a.top)
         )
     candidates = list(sub.arcs) if not sub.overlapping else [sub.right_arc()]
     for a in candidates:
         if (
             p <= a.bottom < a.top <= q
-            and a.right == s.right & frozenset(between(a.bottom, a.top))
+            and a.right == s.right & passed(a.bottom, a.top)
         ):
             return True
     return False
@@ -138,16 +129,16 @@ def is_loose_subarc(sub: TypeBArc, sup: TypeBArc) -> bool:
         return (
             sub.left_end <= q
             and sub.right_end <= q
-            and sub.left == sup.left & _rng(0, sub.left_end)
-            and sub.right == sup.right & _rng(0, sub.right_end)
+            and sub.left == sup.left & passed(0, sub.left_end)
+            and sub.right == sup.right & passed(0, sub.right_end)
         )
     if isinstance(sup, LongArc):
         p, q = sup.left_end, sup.right_end
         return (
             sub.left_end <= q
             and sub.right_end <= p
-            and sub.left == _rng(0, sub.left_end) - sup.right
-            and sub.right == _rng(0, sub.right_end) - sup.left
+            and sub.left == passed(0, sub.left_end) - sup.right
+            and sub.right == passed(0, sub.right_end) - sup.left
             and not sub.between_pieces
         )
     return False
@@ -170,11 +161,11 @@ def _chain_arrow(a1: TypeBArc, a2: TypeBArc) -> bool:
             tau = (rho.bottom, m.bottom)
         if tau is None:
             continue
-        if m.right != rho.right & frozenset(between(m.bottom, m.top)):
+        if m.right != rho.right & passed(m.bottom, m.top):
             continue
         lo, hi = tau
-        right = rho.right & frozenset(between(lo, hi))
-        partner = ArcA(lo, hi, frozenset(between(lo, hi)) - right, right)
+        right = rho.right & passed(lo, hi)
+        partner = ArcA(lo, hi, passed(lo, hi) - right, right)
         anti = arcs_a.antipode(partner)
         if partner != anti and not arcs_a.compatible(partner, anti):
             continue
@@ -505,7 +496,11 @@ class ArcCongruence:
         return table.arcs_of(table.full & ~self.mask)
 
     def __contains__(self, arc) -> bool:
-        return arc in self.contracted
+        """arc in self.contracted, read off one bit of the mask."""
+        table = self.table(self.n)
+        key = table.key_of(arc)
+        i = None if key is None else table.index.get(key)
+        return i is not None and bool(self.mask >> i & 1)
 
 
 def _first_unclosed(table: ArcTable, mask: int, rows: bool) -> Optional[int]:

@@ -251,13 +251,8 @@ class Congruence:
         if len(class_of) != lat.n:
             raise ValueError("partition does not cover all elements")
         self.lattice = lat
-        out = [0] * lat.n
         rep: dict[int, int] = {}
-        for i, c in enumerate(class_of):
-            if c not in rep:
-                rep[c] = i
-            out[i] = rep[c]
-        self.class_of = tuple(out)
+        self.class_of = tuple(map(rep.setdefault, class_of, range(lat.n)))
         self._classes: Optional[tuple] = None
 
     @classmethod

@@ -10,7 +10,7 @@ import functools
 import itertools
 import math
 import random
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from . import arcs_a, arcs_b, catalog, forcing, geometry as geo, lattice as lat
 from .catalog import Designation
@@ -165,10 +165,18 @@ def _shard_tables(family: str, n: int):
     return arr, W, sh, shard_of_ji
 
 
+def _ji_arcs(family: str, W, jis: Iterable[int]) -> dict:
+    """The arc of each join-irreducible element id of the weak order W."""
+    if family == "B":
+        return {i: arcs_b.arc_of_join_irreducible(W.labels[i]) for i in jis}
+    return {i: arcs_a.arc_of_join_irreducible(W.labels[i].word) for i in jis}
+
+
 def suite_shard_digraph(n: int, family: str = "B") -> dict:
     rep = Report("shard-digraph", n)
     arr, W, sh, shard_of_ji = _shard_tables(family, n)
     jis = sorted(shard_of_ji)
+    arcs = _ji_arcs(family, W, jis)
     arrow = {}
     bad = None
     for i, j in itertools.product(jis, jis):
@@ -177,12 +185,9 @@ def suite_shard_digraph(n: int, family: str = "B") -> dict:
         if g != e:
             bad = (W.labels[i], W.labels[j], "geometric vs witness criterion")
             break
-        if family == "B":
-            a1 = arcs_b.arc_of_join_irreducible(W.labels[i])
-            a2 = arcs_b.arc_of_join_irreducible(W.labels[j])
-            if g != forcing.has_arrow(a1, a2):
-                bad = (W.labels[i], W.labels[j], "geometric vs arc arrow")
-                break
+        if family == "B" and g != forcing.has_arrow(arcs[i], arcs[j]):
+            bad = (W.labels[i], W.labels[j], "geometric vs arc arrow")
+            break
     rep.check("geometric = witness-shard = arc arrows", bad is None, bad)
     if bad is None:
         # closure of the digraph equals lattice forcing
@@ -213,29 +218,18 @@ def suite_geometry(n: int, family: str = "B") -> dict:
         sorted(shard_of_ji),
     )
     bad = None
+    model = arcs_b if family == "B" else arcs_a
+    arcs = _ji_arcs(family, W, shard_of_ji)
     for i, s in shard_of_ji.items():
-        w = W.labels[i]
-        if family == "B":
-            desc = arcs_b.shard_descriptor(arcs_b.arc_of_join_irreducible(w))
-        else:
-            desc = arcs_a.shard_descriptor(arcs_a.arc_of_join_irreducible(w.word))
-        if not geo.descriptor_matches(arr, s, desc, n):
-            bad = (w, s)
+        if not geo.descriptor_matches(arr, s, model.shard_descriptor(arcs[i]), n):
+            bad = (W.labels[i], s)
             break
     rep.check("inequality descriptions equal the pieces", bad is None, bad)
     bad = None
     jis = sorted(shard_of_ji)
     for i, j in itertools.combinations(jis, 2):
         compat_geo = geo.shards_compatible(arr, shard_of_ji[i], shard_of_ji[j])
-        if family == "B":
-            a1 = arcs_b.arc_of_join_irreducible(W.labels[i])
-            a2 = arcs_b.arc_of_join_irreducible(W.labels[j])
-            compat_arc = arcs_b.compatible(a1, a2)
-        else:
-            a1 = arcs_a.arc_of_join_irreducible(W.labels[i].word)
-            a2 = arcs_a.arc_of_join_irreducible(W.labels[j].word)
-            compat_arc = arcs_a.compatible(a1, a2)
-        if compat_geo != compat_arc:
+        if compat_geo != model.compatible(arcs[i], arcs[j]):
             bad = (W.labels[i], W.labels[j])
             break
     rep.check("piece compatibility equals arc compatibility", bad is None, bad)

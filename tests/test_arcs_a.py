@@ -5,6 +5,7 @@ import pytest
 from arclat import arcs_a, lattice as lat
 from arclat.arcs_a import ArcA, DiagramA, make_arc
 from arclat.permutations import CoxeterType, weak_order_lattice, word_w0_conjugate
+from arclat.util import between, passed
 
 
 def test_identity_has_empty_diagram():
@@ -157,3 +158,87 @@ def test_enumerate_counts():
     for n in (2, 3, 4, 5):
         W = weak_order_lattice(CoxeterType("A", n))
         assert len(arcs_a.all_arcs_n(n)) == len(lat.join_irreducibles(W))
+
+
+def relation_by_sets(a, b):
+    """Reference relation on side sets: each endpoint or passed point of one
+    arc that the other passes casts a vote for a side."""
+    votes = set()
+    for v in (a.bottom, a.top):
+        if v in b.left:
+            votes.add("left")
+        elif v in b.right:
+            votes.add("right")
+    for v in (b.bottom, b.top):
+        if v in a.left:
+            votes.add("right")
+        elif v in a.right:
+            votes.add("left")
+    for v in a.left & b.right:
+        votes.add("right")
+    for v in a.right & b.left:
+        votes.add("left")
+    if len(votes) > 1:
+        raise ValueError(f"arcs {a} and {b} cross")
+    return votes.pop() if votes else None
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("points", [(-3, -2, -1, 1, 2, 3), (1, 2, 3, 4, 5, 6)])
+def test_relation_matches_the_set_reference(points):
+    """Every ordered pair of arcs, crossing pairs included: the same answer
+    or the same ValueError, and compatible agrees with it."""
+    arcs = arcs_a.all_arcs(points)
+    crossing = 0
+    for a, b in itertools.product(arcs, repeat=2):
+        expected = outcome(relation_by_sets, a, b)
+        assert outcome(arcs_a.relation, a, b) == expected, (a, b)
+        shared_end = a.top == b.top or a.bottom == b.bottom
+        assert arcs_a.compatible(a, b) == (not shared_end and not isinstance(expected, tuple)), (a, b)
+        crossing += isinstance(expected, tuple)
+    assert (len(arcs), crossing) == (57, 1368)
+
+
+def descent_arcs_by_positions(word):
+    """Reference descent arcs: each value between the ends of a descent lies
+    left of its arc when placed before the descent, right when after."""
+    pos = {v: i for i, v in enumerate(word)}
+    out = []
+    for i in range(len(word) - 1):
+        if word[i] > word[i + 1]:
+            q, p = word[i], word[i + 1]
+            left = frozenset(v for v in between(p, q) if pos[v] < i)
+            out.append((i, ArcA(p, q, left, frozenset(between(p, q)) - left)))
+    return out
+
+
+def test_descent_arcs_match_the_position_reference():
+    words = [w for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
+    words += list(itertools.permutations((-3, -2, -1, 1, 2, 3)))
+    for word in words:
+        assert arcs_a.descent_arcs(word) == descent_arcs_by_positions(word), word
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_arc_of_join_irreducible_matches_descent_arcs(n):
+    """The one-descent words give their one descent arc; every other word is
+    refused with ValueError."""
+    for word in itertools.permutations(range(1, n + 1)):
+        arcs = arcs_a.descent_arcs(word)
+        if len(arcs) == 1:
+            assert arcs_a.arc_of_join_irreducible(word) == arcs[0][1]
+        else:
+            with pytest.raises(ValueError, match="exactly one descent"):
+                arcs_a.arc_of_join_irreducible(word)
+
+
+def test_passed_is_the_shared_interval_set():
+    for a, b in itertools.product(range(-5, 6), repeat=2):
+        assert passed(a, b) == frozenset(between(a, b)), (a, b)
+        assert passed(a, b) is passed(a, b)

@@ -27,6 +27,8 @@ from arclat.permutations import (
     unfold,
     weak_order_lattice,
 )
+from arclat.util import InvariantError
+from test_arcs_a import relation_by_sets
 
 
 def test_fold_symmetric_arc():
@@ -64,7 +66,7 @@ def test_long_arc_validity_at_rank_two():
 
 def drawable_by_objects(left_end, right_end, left, right):
     """Reference drawability: unfold the long arc to its two type-A arcs and
-    ask arcs_a.relation whether the first lies right of the second."""
+    ask the set-based relation whether the first lies right of the second."""
     left, right = frozenset(left), frozenset(right)
     if left_end == right_end or left & right:
         return False
@@ -74,7 +76,7 @@ def drawable_by_objects(left_end, right_end, left, right):
     if a.top == b.top or a.bottom == b.bottom:
         return False
     try:
-        return arcs_a.relation(a, b) == "right"
+        return relation_by_sets(a, b) == "right"
     except ValueError:
         return False
 
@@ -242,6 +244,27 @@ def test_not_join_irreducible():
         arcs_b.arc_of_join_irreducible(SignedPermutation((1, 2, 3)))
     with pytest.raises(NotJoinIrreducible):
         arcs_b.arc_of_join_irreducible(SignedPermutation((-2, -1, -3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_arc_of_join_irreducible_matches_the_diagram(n):
+    """A signed permutation with one lower cover gives the one arc of its
+    diagram; any other is refused with NotJoinIrreducible."""
+    for pi in all_signed_permutations(n):
+        w = pi.word
+        if sum(w[k] > w[k + 1] for k in range(n - 1)) + (w[0] < 0) == 1:
+            assert frozenset([arcs_b.arc_of_join_irreducible(pi)]) == arcs_b.diagram_of_signed(pi).arcs, pi
+        else:
+            with pytest.raises(NotJoinIrreducible):
+                arcs_b.arc_of_join_irreducible(pi)
+
+
+def test_arc_of_join_irreducible_checks_its_one_descent(monkeypatch):
+    """A shape test that passes a word with two descents is an invariant
+    failure, not a refusal."""
+    monkeypatch.setattr(arcs_b, "is_join_irreducible_signed", lambda pi: True)
+    with pytest.raises(InvariantError, match="has 2 arcs"):
+        arcs_b.arc_of_join_irreducible(SignedPermutation((-1, 3, 2)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

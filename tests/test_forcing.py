@@ -253,6 +253,35 @@ def test_masks_outside_the_table_are_refused(cls, n):
             cls(n, mask)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_membership_matches_the_contracted_set(n):
+    """in agrees with the contracted set on every arc, and on arcs and
+    objects outside the table, over the identity, the full congruence and
+    every Cambrian designation."""
+    thetas = [ArcCongruence.identity(n), ArcCongruence.full(n)] + [
+        catalog.cambrian_congruence(n, catalog.Designation(sides))
+        for sides in itertools.product("LR", repeat=n - 1)
+    ]
+    others = [OrbifoldArc(n + 1, frozenset()), arcs_a.make_arc(1, 2), "Orb(1;R=[])"]
+    for theta in thetas:
+        for arc in arcs_b.all_arcs(n) + others:
+            assert (arc in theta) == (arc in theta.contracted), (theta, arc)
+    for theta in (ArcCongruenceA.identity(2), ArcCongruenceA.full(2)):
+        for arc in arcs_a.all_arcs([-2, -1, 1, 2]) + [arcs_a.make_arc(1, 3), OrbifoldArc(1, frozenset())]:
+            assert (arc in theta) == (arc in theta.contracted), (theta, arc)
+
+
+def test_membership_builds_only_the_arc_it_asks_about(monkeypatch):
+    """in reads one bit of the mask: at n = 7 the only arc object built is
+    the one asked about."""
+    theta = catalog.cambrian_congruence(7, catalog.Designation(tuple("R" * 6)))
+    built = []
+    for cls in (OrdinaryArc, OrbifoldArc, LongArc):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: built.append(self) or check(self))
+    assert OrdinaryArc(1, 2, frozenset()) not in theta
+    assert len(built) <= 1
+
+
 def test_from_arcs_gives_back_the_stored_congruence():
     for theta in forcing.all_congruences(2) + [catalog.hom_congruence(3, "nonhom")]:
         back = ArcCongruence.from_arcs(theta.n, theta.contracted)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .util import MAX_POINTS, ScopeExceeded, between, components, passed
@@ -48,7 +48,26 @@ class ArcA:
 
 
 def make_arc(bottom: int, top: int, right: Iterable[int] = ()) -> ArcA:
+    """A new arc, built and validated on every call (see shared_arc)."""
     right = frozenset(right)
+    return ArcA(bottom, top, passed(bottom, top) - right, right)
+
+
+SHARED_ARCS = 4096
+
+
+@lru_cache(maxsize=SHARED_ARCS)
+def shared_arc(bottom: int, top: int, right: frozenset) -> ArcA:
+    """make_arc(bottom, top, right), for a frozenset right, as one shared
+    object: it is built and validated the first time it is asked for, so
+    its masks are computed once, and an invalid arc raises on every call.
+
+    The SHARED_ARCS most recently used arcs are kept, here and in every
+    arc cache of arcs_a and arcs_b: 4,096 holds every arc on +/-1..+/-6
+    (4,083), every quotient arc of the largest arc table, on 7 points
+    (2,179), and the at most 2,000 unfolded pieces of a diagram on
+    MAX_POINTS points, while a process that maps many large diagrams
+    keeps no more arcs than that."""
     return ArcA(bottom, top, passed(bottom, top) - right, right)
 
 
@@ -60,12 +79,7 @@ def _point_mask(points: Iterable[int]) -> int:
 
 def antipode(arc: ArcA) -> ArcA:
     """Image under the half turn x -> -x; left and right swap."""
-    return ArcA(
-        -arc.top,
-        -arc.bottom,
-        frozenset(-v for v in arc.right),
-        frozenset(-v for v in arc.left),
-    )
+    return shared_arc(-arc.top, -arc.bottom, frozenset(-v for v in arc.left))
 
 
 @dataclass(frozen=True)
@@ -79,10 +93,10 @@ class DiagramA:
                 raise ValueError(f"{arc} has endpoints outside the ground set")
             if not (arc.left | arc.right) <= self.points:
                 raise ValueError(f"{arc} passes points outside the ground set")
-        arcs = sorted(self.arcs, key=ArcA.key)
-        for a, b in itertools.combinations(arcs, 2):
-            if not compatible(a, b):
-                raise ValueError(f"incompatible arcs {a} and {b}")
+        if not all(itertools.starmap(compatible, itertools.combinations(self.arcs, 2))):
+            pairs = itertools.combinations(sorted(self.arcs, key=ArcA.key), 2)
+            a, b = next(pair for pair in pairs if not compatible(*pair))
+            raise ValueError(f"incompatible arcs {a} and {b}")
 
     def __repr__(self) -> str:
         return f"DiagramA({sorted(self.arcs, key=ArcA.key)})"
@@ -133,9 +147,7 @@ def descent_arcs(word: Word) -> List[Tuple[int, ArcA]]:
 def _descent_arc(word: Word, i: int) -> ArcA:
     """The arc of the descent word[i] > word[i + 1] (see descent_arcs)."""
     p, q = word[i + 1], word[i]
-    mid = passed(p, q)
-    right = mid.intersection(word[i + 2:])
-    return ArcA(p, q, mid - right, right)
+    return shared_arc(p, q, passed(p, q).intersection(word[i + 2:]))
 
 
 def diagram_of(word: Word) -> DiagramA:
@@ -211,8 +223,10 @@ def join_irreducible_word(arc: ArcA, n: int) -> Word:
     return tuple(word)
 
 
+@lru_cache(maxsize=SHARED_ARCS)
 def arc_of_join_irreducible(word: Word) -> ArcA:
-    """The single arc of a one-descent word."""
+    """The single arc of a one-descent word, looked up again for a word
+    among the last SHARED_ARCS asked for."""
     steps = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if len(steps) != 1:
         raise ValueError(f"{word} does not have exactly one descent")

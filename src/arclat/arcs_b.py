@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from . import arcs_a
-from .arcs_a import ArcA, DiagramA, ShardDescriptor
+from .arcs_a import SHARED_ARCS, ArcA, DiagramA, ShardDescriptor, shared_arc
 from .permutations import SignedPermutation, fold, is_join_irreducible_signed
 from .util import MAX_POINTS, InvariantError, ScopeExceeded, between, bits, passed
 
@@ -137,8 +137,7 @@ def top_point(arc: TypeBArc) -> int:
 def _unfold_long_raw(left_end: int, right_end: int, left: frozenset, right: frozenset) -> Tuple[ArcA, ArcA]:
     """The antipodal pair of the long arc; first component is the right copy,
     which passes right of the points of right and of -v for v in left."""
-    right_a = right.union(-v for v in left)
-    a = ArcA(-left_end, right_end, passed(-left_end, right_end) - right_a, right_a)
+    a = shared_arc(-left_end, right_end, right.union(-v for v in left))
     return a, arcs_a.antipode(a)
 
 
@@ -227,8 +226,7 @@ class SymmetricArc:
             raise InvalidArc("right set must pick one of each antipodal pair")
 
     def as_arc(self) -> ArcA:
-        mid = passed(-self.radius, self.radius)
-        return ArcA(-self.radius, self.radius, mid - self.right, self.right)
+        return shared_arc(-self.radius, self.radius, self.right)
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,7 @@ def unfold_phi_inv(arc: TypeBArc) -> SymArcOrPair:
         right = arc.right | frozenset(-v for v in arc.left)
         return SymmetricArc(arc.top, right)
     if isinstance(arc, OrdinaryArc):
-        a = ArcA(arc.bottom, arc.top, arc.left, arc.right)
+        a = shared_arc(arc.bottom, arc.top, arc.right)
         return SymmetricPair(frozenset((a, arcs_a.antipode(a))))
     a, b = _unfold_long_raw(arc.left_end, arc.right_end, arc.left, arc.right)
     return SymmetricPair(frozenset((a, b)))
@@ -318,9 +316,10 @@ class DiagramB:
         for arc in self.arcs:
             if top_point(arc) > self.n:
                 raise InvalidArc(f"{arc} does not fit on {self.n} points")
-        for a, b in itertools.combinations(sorted(self.arcs, key=arc_key), 2):
-            if not compatible(a, b):
-                raise NotADiagram(f"incompatible arcs {a} and {b}")
+        if not all(itertools.starmap(compatible, itertools.combinations(self.arcs, 2))):
+            pairs = itertools.combinations(sorted(self.arcs, key=arc_key), 2)
+            a, b = next(pair for pair in pairs if not compatible(*pair))
+            raise NotADiagram(f"incompatible arcs {a} and {b}")
 
     def __repr__(self) -> str:
         return f"DiagramB(n={self.n}, arcs={sorted(self.arcs, key=arc_key)})"
@@ -414,9 +413,11 @@ def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
     return tuple(head + core + tail)
 
 
+@lru_cache(maxsize=SHARED_ARCS)
 def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
     """The unique arc in the diagram of a join-irreducible signed permutation,
-    read off its one descent (see signed_descent_arcs)."""
+    read off its one descent (see signed_descent_arcs), and looked up again
+    for one among the last SHARED_ARCS asked for."""
     if not is_join_irreducible_signed(pi):
         raise NotJoinIrreducible(f"{pi} is not join-irreducible")
     w, n = pi.word, pi.n
@@ -460,8 +461,10 @@ def _lex_submasks(mask: int) -> Iterator[int]:
         yield sub
 
 
+@lru_cache(maxsize=SHARED_ARCS)
 def main_key(n: int, arc: TypeBArc) -> Key:
-    """The key of main_piece(arc) on n >= top_point(arc) points."""
+    """The key of main_piece(arc) on n >= top_point(arc) points, computed
+    once per (n, arc) while it is among the last SHARED_ARCS asked for."""
     right = sum(1 << n + v for v in arc.right)
     if isinstance(arc, OrdinaryArc):
         return arc.bottom, arc.top, right
@@ -471,8 +474,11 @@ def main_key(n: int, arc: TypeBArc) -> Key:
     return -arc.left_end, arc.right_end, right | left
 
 
+@lru_cache(maxsize=SHARED_ARCS)
 def arc_of_key(n: int, key: Key) -> TypeBArc:
-    """The arc whose main piece has key: the inverse of main_key."""
+    """The arc whose main piece has key: the inverse of main_key.  One
+    object per (n, key), built and validated the first time it is asked
+    for; the last SHARED_ARCS are kept (see arcs_a.shared_arc)."""
     p, q, right = key
     rights = frozenset(bits(right >> n))
     if p > 0:

@@ -164,8 +164,7 @@ def _chain_arrow(a1: TypeBArc, a2: TypeBArc) -> bool:
         if m.right != rho.right & passed(m.bottom, m.top):
             continue
         lo, hi = tau
-        right = rho.right & passed(lo, hi)
-        partner = ArcA(lo, hi, passed(lo, hi) - right, right)
+        partner = arcs_a.shared_arc(lo, hi, rho.right & passed(lo, hi))
         anti = arcs_a.antipode(partner)
         if partner != anti and not arcs_a.compatible(partner, anti):
             continue
@@ -254,14 +253,15 @@ def _all_arcs(n: int) -> tuple:
 
 class ArcTable:
     """One arc model on n points: the key of each arc in a fixed order, an
-    index from keys to arc positions, and one arc object, bitmask column
-    and bitmask row per arc.  key_of(arc) is the key that finds an arc in
-    index.  Column j has bit i set when arc i is related to arc j, and row
-    i is the transpose: bit j set for the same pairs.  Each arc, column and
-    row is computed, by arc_of(keys[i]), column(j) or row(i), the first
-    time it is asked for and then kept, so a row costs no column and a
-    mask of arcs builds only its own.  col_cost[j] and row_cost[i] estimate
-    what computing each column and row costs, in one unit for both."""
+    index from keys to arc positions, and one bitmask column and bitmask
+    row per arc.  key_of(arc) is the key that finds an arc in index, and
+    arc_of(keys[i]) the shared arc object of a key.  Column j has bit i set
+    when arc i is related to arc j, and row i is the transpose: bit j set
+    for the same pairs.  Each column and row is computed, by column(j) or
+    row(i), the first time it is asked for and then kept, so a row costs no
+    column, and a mask of arcs builds only its own arcs.  col_cost[j] and
+    row_cost[i] estimate what computing each column and row costs, in one
+    unit for both."""
 
     def __init__(self, n: int, keys: Sequence, index: Dict, key_of: Callable, arc_of: Callable,
                  column: Callable[[int], int], row: Callable[[int], int],
@@ -272,7 +272,6 @@ class ArcTable:
         self.full = (1 << len(self.keys)) - 1
         self.column, self.row_of = column, row
         self.col_cost, self.row_cost = col_cost, row_cost
-        self._arcs: List[Optional[object]] = [None] * len(self.keys)
         self._cols: List[Optional[int]] = [None] * len(self.keys)
         self._rows: List[Optional[int]] = [None] * len(self.keys)
         self._cols_todo = self._rows_todo = self.full  # the ones not yet kept
@@ -283,9 +282,7 @@ class ArcTable:
         return tuple(map(self.arc, range(len(self.keys))))
 
     def arc(self, i: int):
-        if self._arcs[i] is None:
-            self._arcs[i] = self.arc_of(self.keys[i])
-        return self._arcs[i]
+        return self.arc_of(self.keys[i])
 
     def index_of(self, arc) -> int:
         key = self.key_of(arc)
@@ -423,9 +420,9 @@ def _key_a(n: int, arc: ArcA) -> Key:
 
 @lru_cache(maxsize=None)
 def symmetric_subarc_table(n: int) -> ArcTable:
-    """Plain arcs on the points -n..-1, 1..n under the type-A subarc order."""
-    arcs = arcs_a.all_arcs([v for v in range(-n, n + 1) if v != 0])
-    keys = [_key_a(n, a) for a in arcs]
+    """Plain arcs on the points -n..-1, 1..n under the type-A subarc order,
+    kept as their keys in the order of arcs_a.all_arcs."""
+    keys = [_key_a(n, a) for a in arcs_a.all_arcs([v for v in range(-n, n + 1) if v])]
     index = {key: i for i, key in enumerate(keys)}
     mains = [(j,) + key for j, key in enumerate(keys)]
     return ArcTable(
@@ -433,7 +430,7 @@ def symmetric_subarc_table(n: int) -> ArcTable:
         keys,
         index,
         lambda arc: _key_a(n, arc) if isinstance(arc, ArcA) and -n <= arc.bottom and arc.top <= n else None,
-        lambda key: arcs[index[key]],
+        lambda key: arcs_a.shared_arc(key[0], key[1], frozenset(i - n for i in bits(key[2]))),
         lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0),
         lambda i: _superkeys(n, [keys[i]], mains),
         [_lookup_cost(key) for key in keys],
@@ -537,6 +534,7 @@ def _signed_descent_arcs_cached(word: Tuple[int, ...]) -> tuple:
     return tuple(arcs_b.signed_descent_arcs(SignedPermutation(word)))
 
 
+# Nothing in arclat reads this cache; it stays for benchmark cache reports.
 @lru_cache(maxsize=200000)
 def _descent_arcs_cached(word: Tuple[int, ...]) -> tuple:
     return tuple(arcs_a.descent_arcs(word))
@@ -550,19 +548,28 @@ def _signed_mask(theta: ArcCongruence) -> int:
     return theta.mask
 
 
-def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
-    """The first descent of a signed word whose arc is in keys (see
-    ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
-    short position; None if there is none.  The points right of a descent's
-    arc are the values between its ends that come after it in the word;
-    after holds those of word[k + 2:] while position k is read."""
-    n, after, p, first = len(word), 0, word[-1], None
-    for k in range(n - 2, -1, -1):
+def _first_descent(word: Sequence[int], keys: frozenset, n: int) -> Tuple[Optional[int], int]:
+    """The first position k with word[k] > word[k + 1] whose arc's key (see
+    arcs_b.piece_key, point v at bit v + n) is in keys, or None, and the
+    point mask of word[1:].  The points right of a descent's arc are the
+    values between its ends that come after it in the word; after holds
+    those of word[k + 2:] while position k is read, right to left."""
+    after, p, first = 0, word[-1], None
+    for k in range(len(word) - 2, -1, -1):
         q = word[k]
         if q > p and piece_key(n, p, q, after) in keys:
             first = k
         after |= 1 << (p + n)
         p = q
+    return first, after
+
+
+def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
+    """The first descent of a signed word whose arc is in keys (see
+    ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
+    short position; None if there is none."""
+    n, p = len(word), word[0]
+    first, after = _first_descent(word, keys, n)
     return -1 if p < 0 and piece_key(n, p, -p, after) in keys else first
 
 
@@ -776,6 +783,13 @@ class ArcCongruenceA(ArcCongruence):
 
     table = staticmethod(symmetric_subarc_table)
 
+    @cached_property
+    def contracted_arc_keys(self) -> frozenset:
+        """The keys (see arcs_b.piece_key) of the contracted arcs
+        themselves, which project_word reads."""
+        keys = self.table(self.n).keys
+        return frozenset(keys[i] for i in bits(self.mask))
+
     def is_symmetric(self) -> bool:
         """The contracted set is closed under the antipode."""
         image, mask = _antipodes(self.n), self.mask
@@ -790,11 +804,12 @@ def _antipodes(n: int) -> tuple:
 
 
 def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...]:
-    """Bottom element of the class of a word, by contracted-descent removal."""
-    contracted, word = theta.contracted, tuple(word)
-    while (step := next((i for i, arc in _descent_arcs_cached(word) if arc in contracted), None)) is not None:
-        word = word[:step] + (word[step + 1], word[step]) + word[step + 2:]
-    return word
+    """Bottom element of the class of a word over +/-1..n, by contracted-
+    descent removal, read on the keys of theta's contracted arcs."""
+    keys, w = theta.contracted_arc_keys, list(word)
+    while (step := _first_descent(w, keys, theta.n)[0]) is not None:
+        w[step], w[step + 1] = w[step + 1], w[step]
+    return tuple(w)
 
 
 def is_in_con_a(theta: ArcCongruence) -> bool:

@@ -242,3 +242,16 @@ def test_passed_is_the_shared_interval_set():
     for a, b in itertools.product(range(-5, 6), repeat=2):
         assert passed(a, b) == frozenset(between(a, b)), (a, b)
         assert passed(a, b) is passed(a, b)
+
+
+def test_incompatible_diagram_names_the_first_pair_in_key_order():
+    """The pairs are checked in any order, but the message names the first
+    incompatible pair in ArcA.key order; the first pair in the set's own
+    order is compatible, and the first incompatible one in it is another."""
+    arcs = frozenset([make_arc(1, 5), make_arc(1, 5, [2, 3, 4]), make_arc(2, 3), make_arc(2, 4, [3])])
+    pairs = list(itertools.combinations(arcs, 2))
+    assert arcs_a.compatible(*pairs[0])
+    assert {make_arc(2, 3), make_arc(2, 4, [3])} == set(next(p for p in pairs if not arcs_a.compatible(*p)))
+    with pytest.raises(ValueError) as err:
+        DiagramA(frozenset(range(1, 6)), arcs)
+    assert str(err.value) == "incompatible arcs ArcA(1,5;R={}) and ArcA(1,5;R={2,3,4})"

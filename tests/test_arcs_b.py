@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from arclat import arcs_a, arcs_b, forcing, lattice as lat
+from arclat import arcs_a, arcs_b, forcing, lattice as lat, serialize
+from arclat.arcs_a import SHARED_ARCS
 from arclat.arcs_b import (
     DiagramB,
     InvalidArc,
@@ -374,3 +375,109 @@ def test_descriptor_cones_pairwise_incomparable(n):
     descs = [arcs_b.shard_descriptor(a) for a in arcs_b.all_arcs(n)]
     for d1, d2 in itertools.permutations(descs, 2):
         assert not contains(d1, d2)
+
+
+def test_incompatible_diagram_b_names_the_first_pair_in_key_order():
+    """As for DiagramA: the message names the first incompatible pair in
+    arc_key order, not the first one in the set's own order."""
+    arcs = frozenset([
+        OrdinaryArc(1, 2, frozenset()),
+        LongArc(1, 3, frozenset(), frozenset()),
+        LongArc(2, 3, frozenset([1]), frozenset()),
+        LongArc(3, 1, frozenset([2]), frozenset()),
+    ])
+    pairs = list(itertools.combinations(arcs, 2))
+    assert arcs_b.compatible(*pairs[0])
+    assert LongArc(3, 1, frozenset([2]), frozenset()) in next(p for p in pairs if not arcs_b.compatible(*p))
+    with pytest.raises(NotADiagram) as err:
+        DiagramB(3, arcs)
+    assert str(err.value) == "incompatible arcs Ord(1,2;R=[]) and Long(L2,R3;L=[1],R=[])"
+
+
+@pytest.fixture
+def fresh_arcs():
+    """Empty arc caches before and after the test, so that every arc it
+    reads was built while it ran and none of them outlives it in
+    unfold_arcs once evicted from the shared ones."""
+    caches = (arcs_a.shared_arc, arcs_a.arc_of_join_irreducible, arcs_b.arc_of_key, arcs_b.main_key,
+              arcs_b.arc_of_join_irreducible, arcs_b.unfold_arcs)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_arcs_are_one_object_per_key(n, fresh_arcs):
+    """The table, the enumeration, the descents and the join-irreducibles
+    hand out the same object for the same arc, and it equals and hashes
+    like the arc built afresh from its JSON."""
+    arcs = arcs_b.all_arcs(n)
+    table = forcing.subarc_table(n)
+    assert all(table.arc(i) is arc for i, arc in enumerate(arcs))
+    for arc in arcs:
+        fresh = serialize.arc_b_from_json(serialize.arc_b_to_json(arc))
+        assert fresh is not arc and fresh == arc and hash(fresh) == hash(arc)
+    shared = {arcs_b.main_key(n, arc): arc for arc in arcs}
+    for pi in all_signed_permutations(n):
+        descents = arcs_b.signed_descent_arcs(pi)
+        assert all(shared[arcs_b.main_key(n, arc)] is arc for _k, arc in descents)
+        if len(descents) == 1:
+            assert arcs_b.arc_of_join_irreducible(pi) is descents[0][1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_plain_arcs_are_one_object_per_key(n, fresh_arcs):
+    """The same for type-A arcs on +/-1..+/-n: the symmetric table, in the
+    order of arcs_a.all_arcs, antipodes, the unfolded pieces of the quotient
+    arcs, and the descents and join-irreducibles of words on 1..n."""
+    points = [v for v in range(-n, n + 1) if v]
+    table = forcing.symmetric_subarc_table(n).arcs
+    assert table == tuple(arcs_a.all_arcs(points))
+    shared = {arc.key(): arc for arc in table}
+    for arc in table:
+        fresh = arcs_a.make_arc(arc.bottom, arc.top, arc.right)
+        assert fresh is not arc and fresh == arc and hash(fresh) == hash(arc)
+        assert shared[arcs_a.antipode(arc).key()] is arcs_a.antipode(arc)
+    for arc in arcs_b.all_arcs(n):
+        assert all(shared[piece.key()] is piece for piece in arcs_b.unfold_arcs(arc))
+    for word in itertools.permutations(range(1, n + 1)):
+        descents = arcs_a.descent_arcs(word)
+        assert all(shared[arc.key()] is arc for _i, arc in descents)
+        if len(descents) == 1:
+            assert arcs_a.arc_of_join_irreducible(word) is descents[0][1]
+        assert arcs_a.diagram_of(word).arcs == {arc for _i, arc in descents}
+
+
+def test_an_invalid_arc_raises_on_every_call(fresh_arcs):
+    """No exception is cached: each call builds and checks the arc again."""
+    for _ in range(3):
+        with pytest.raises(ValueError, match="side sets"):
+            arcs_a.shared_arc(1, 3, frozenset([5]))
+        with pytest.raises(ValueError, match="bad endpoints"):
+            arcs_a.shared_arc(3, 3, frozenset())
+        with pytest.raises(InvalidArc, match="strictly between"):
+            arcs_b.arc_of_key(3, (1, 2, 1 << 3 + 3))  # Ord(1,2;R=[3])
+        with pytest.raises(InvalidArc, match="cross when drawn"):
+            arcs_b.arc_of_key(2, (-1, 2, 1 << 2 + 1))  # Long(L1,R2;L=[],R=[1])
+        with pytest.raises(ValueError, match="exactly one descent"):
+            arcs_a.arc_of_join_irreducible((3, 2, 1))
+        with pytest.raises(NotJoinIrreducible):
+            arcs_b.arc_of_join_irreducible(SignedPermutation((-1, -2)))
+    caches = (arcs_a.shared_arc, arcs_a.arc_of_join_irreducible, arcs_b.arc_of_key, arcs_b.arc_of_join_irreducible)
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 4
+
+
+def test_arc_caches_keep_at_most_their_bound(fresh_arcs):
+    """Past SHARED_ARCS distinct arcs the least recently used is dropped;
+    the join-irreducible caches have the same bound."""
+    for p in range(1, SHARED_ARCS + 11):
+        arcs_a.shared_arc(p, p + 2, frozenset())
+    for n in range(2, SHARED_ARCS + 12):
+        arcs_b.main_key(n, arcs_b.arc_of_key(n, (1, 2, 0)))
+    for cache in (arcs_a.shared_arc, arcs_b.arc_of_key, arcs_b.main_key):
+        info = cache.cache_info()
+        assert info.misses == SHARED_ARCS + 10 and info.currsize == info.maxsize == SHARED_ARCS
+    for cache in (arcs_a.arc_of_join_irreducible, arcs_b.arc_of_join_irreducible):
+        assert cache.cache_info().maxsize == SHARED_ARCS

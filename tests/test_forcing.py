@@ -615,6 +615,34 @@ def test_partition_count_matches_the_pairwise_check(n):
     assert verdicts == {True, False}
 
 
+def project_word_by_objects(word, theta):
+    """project_word on arc objects: the first descent whose ArcA is
+    contracted is removed, until there is none."""
+    contracted, word = theta.contracted, tuple(word)
+    while (step := next((i for i, arc in arcs_a.descent_arcs(word) if arc in contracted), None)) is not None:
+        word = word[:step] + (word[step + 1], word[step]) + word[step + 2:]
+    return word
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_project_word_matches_the_object_reference(n):
+    """On every word and lifted congruence of the project_word tests above:
+    the unfolded signed words, under the lift of every congruence at n = 2
+    and of every one-generator one at n = 3."""
+    thetas = forcing.all_congruences(2) if n == 2 else [
+        ArcCongruence.from_generators(3, [a]) for a in arcs_b.all_arcs(3)
+    ]
+    words = [unfold(pi) for pi in all_signed_permutations(n)]
+    moved = 0
+    for theta in thetas:
+        lifted = forcing.unfolded_lift(theta)
+        for word in words:
+            projected = forcing.project_word(word, lifted)
+            assert projected == project_word_by_objects(word, lifted), (theta, word)
+            moved += projected != word
+    assert moved
+
+
 def test_principal_contracted_arcs_are_superarc_closures_rank_three():
     """Element-level principal congruences contract exactly the superarcs."""
     W = weak_order_lattice(CoxeterType("B", 3))

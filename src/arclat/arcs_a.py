@@ -13,7 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .util import MAX_POINTS, ScopeExceeded, between, components, passed
 
@@ -62,8 +62,8 @@ def shared_arc(bottom: int, top: int, right: frozenset) -> ArcA:
     object: it is built and validated the first time it is asked for, so
     its masks are computed once, and an invalid arc raises on every call.
 
-    The SHARED_ARCS most recently used arcs are kept, here and in every
-    arc cache of arcs_a and arcs_b: 4,096 holds every arc on +/-1..+/-6
+    The SHARED_ARCS most recently used arcs are kept, here and in
+    arcs_b.arc_of_key: 4,096 holds every arc on +/-1..+/-6
     (4,083), every quotient arc of the largest arc table, on 7 points
     (2,179), and the at most 2,000 unfolded pieces of a diagram on
     MAX_POINTS points, while a process that maps many large diagrams
@@ -223,10 +223,8 @@ def join_irreducible_word(arc: ArcA, n: int) -> Word:
     return tuple(word)
 
 
-@lru_cache(maxsize=SHARED_ARCS)
 def arc_of_join_irreducible(word: Word) -> ArcA:
-    """The single arc of a one-descent word, looked up again for a word
-    among the last SHARED_ARCS asked for."""
+    """The single arc of a one-descent word."""
     steps = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if len(steps) != 1:
         raise ValueError(f"{word} does not have exactly one descent")
@@ -290,17 +288,21 @@ def half_turn(diagram: DiagramA) -> DiagramA:
     )
 
 
-def all_arcs(points: Sequence[int]) -> List[ArcA]:
-    """Every arc on the given ground set."""
+def arc_sides(points: Sequence[int]) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+    """The bottom, top and right points of every arc on the given ground
+    set, in the order of all_arcs."""
     pts = sorted(points)
-    out = []
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             mids = between(p, q)
             for k in range(len(mids) + 1):
                 for rset in itertools.combinations(mids, k):
-                    out.append(make_arc(p, q, rset))
-    return out
+                    yield p, q, rset
+
+
+def all_arcs(points: Sequence[int]) -> List[ArcA]:
+    """Every arc on the given ground set."""
+    return [make_arc(p, q, rset) for p, q, rset in arc_sides(points)]
 
 
 def all_arcs_n(n: int) -> List[ArcA]:

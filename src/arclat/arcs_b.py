@@ -413,11 +413,9 @@ def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
     return tuple(head + core + tail)
 
 
-@lru_cache(maxsize=SHARED_ARCS)
 def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
     """The unique arc in the diagram of a join-irreducible signed permutation,
-    read off its one descent (see signed_descent_arcs), and looked up again
-    for one among the last SHARED_ARCS asked for."""
+    read off its one descent (see signed_descent_arcs)."""
     if not is_join_irreducible_signed(pi):
         raise NotJoinIrreducible(f"{pi} is not join-irreducible")
     w, n = pi.word, pi.n
@@ -461,10 +459,8 @@ def _lex_submasks(mask: int) -> Iterator[int]:
         yield sub
 
 
-@lru_cache(maxsize=SHARED_ARCS)
 def main_key(n: int, arc: TypeBArc) -> Key:
-    """The key of main_piece(arc) on n >= top_point(arc) points, computed
-    once per (n, arc) while it is among the last SHARED_ARCS asked for."""
+    """The key of main_piece(arc) on n >= top_point(arc) points."""
     right = sum(1 << n + v for v in arc.right)
     if isinstance(arc, OrdinaryArc):
         return arc.bottom, arc.top, right

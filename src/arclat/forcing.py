@@ -414,22 +414,24 @@ def loose_subarc_table(n: int) -> ArcTable:
     )
 
 
-def _key_a(n: int, arc: ArcA) -> Key:
-    return arc.bottom, arc.top, sum(1 << (v + n) for v in arc.right)
+def _key_a(n: int, bottom: int, top: int, right: Iterable[int]) -> Key:
+    return bottom, top, sum(1 << (v + n) for v in right)
 
 
 @lru_cache(maxsize=None)
 def symmetric_subarc_table(n: int) -> ArcTable:
     """Plain arcs on the points -n..-1, 1..n under the type-A subarc order,
     kept as their keys in the order of arcs_a.all_arcs."""
-    keys = [_key_a(n, a) for a in arcs_a.all_arcs([v for v in range(-n, n + 1) if v])]
+    points = [v for v in range(-n, n + 1) if v]
+    keys = [_key_a(n, *sides) for sides in arcs_a.arc_sides(points)]
     index = {key: i for i, key in enumerate(keys)}
     mains = [(j,) + key for j, key in enumerate(keys)]
     return ArcTable(
         n,
         keys,
         index,
-        lambda arc: _key_a(n, arc) if isinstance(arc, ArcA) and -n <= arc.bottom and arc.top <= n else None,
+        lambda arc: (_key_a(n, arc.bottom, arc.top, arc.right)
+                     if isinstance(arc, ArcA) and -n <= arc.bottom and arc.top <= n else None),
         lambda key: arcs_a.shared_arc(key[0], key[1], frozenset(i - n for i in bits(key[2]))),
         lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0),
         lambda i: _superkeys(n, [keys[i]], mains),

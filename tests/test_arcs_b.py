@@ -399,8 +399,7 @@ def fresh_arcs():
     """Empty arc caches before and after the test, so that every arc it
     reads was built while it ran and none of them outlives it in
     unfold_arcs once evicted from the shared ones."""
-    caches = (arcs_a.shared_arc, arcs_a.arc_of_join_irreducible, arcs_b.arc_of_key, arcs_b.main_key,
-              arcs_b.arc_of_join_irreducible, arcs_b.unfold_arcs)
+    caches = (arcs_a.shared_arc, arcs_b.arc_of_key, arcs_b.unfold_arcs)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -465,19 +464,15 @@ def test_an_invalid_arc_raises_on_every_call(fresh_arcs):
             arcs_a.arc_of_join_irreducible((3, 2, 1))
         with pytest.raises(NotJoinIrreducible):
             arcs_b.arc_of_join_irreducible(SignedPermutation((-1, -2)))
-    caches = (arcs_a.shared_arc, arcs_a.arc_of_join_irreducible, arcs_b.arc_of_key, arcs_b.arc_of_join_irreducible)
-    assert [cache.cache_info().currsize for cache in caches] == [0] * 4
+    assert [cache.cache_info().currsize for cache in (arcs_a.shared_arc, arcs_b.arc_of_key)] == [0, 0]
 
 
 def test_arc_caches_keep_at_most_their_bound(fresh_arcs):
-    """Past SHARED_ARCS distinct arcs the least recently used is dropped;
-    the join-irreducible caches have the same bound."""
+    """Past SHARED_ARCS distinct arcs the least recently used is dropped."""
     for p in range(1, SHARED_ARCS + 11):
         arcs_a.shared_arc(p, p + 2, frozenset())
     for n in range(2, SHARED_ARCS + 12):
-        arcs_b.main_key(n, arcs_b.arc_of_key(n, (1, 2, 0)))
-    for cache in (arcs_a.shared_arc, arcs_b.arc_of_key, arcs_b.main_key):
+        arcs_b.arc_of_key(n, (1, 2, 0))
+    for cache in (arcs_a.shared_arc, arcs_b.arc_of_key):
         info = cache.cache_info()
         assert info.misses == SHARED_ARCS + 10 and info.currsize == info.maxsize == SHARED_ARCS
-    for cache in (arcs_a.arc_of_join_irreducible, arcs_b.arc_of_join_irreducible):
-        assert cache.cache_info().maxsize == SHARED_ARCS

@@ -91,7 +91,7 @@ class DiagramA:
         for arc in self.arcs:
             if arc.bottom not in self.points or arc.top not in self.points:
                 raise ValueError(f"{arc} has endpoints outside the ground set")
-            if not (arc.left | arc.right) <= self.points:
+            if not (arc.left <= self.points and arc.right <= self.points):
                 raise ValueError(f"{arc} passes points outside the ground set")
         if not all(itertools.starmap(compatible, itertools.combinations(self.arcs, 2))):
             pairs = itertools.combinations(sorted(self.arcs, key=ArcA.key), 2)

@@ -12,9 +12,9 @@ validity of long arcs) are settled by unfolding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from . import arcs_a
 from .arcs_a import SHARED_ARCS, ArcA, DiagramA, ShardDescriptor, shared_arc
@@ -309,17 +309,31 @@ def compatible(a: TypeBArc, b: TypeBArc) -> bool:
 
 @dataclass(frozen=True)
 class DiagramB:
+    """A quotient diagram on n points.  It is noncrossing when its unfolded
+    arcs form a DiagramA on the points -n..-1, 1..n; that diagram is kept
+    as unfolded, which is neither compared nor shown."""
+
     n: int
     arcs: frozenset
+    unfolded: DiagramA = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.n > MAX_POINTS:
+            raise ScopeExceeded(f"diagrams supported up to n = {MAX_POINTS}")
         for arc in self.arcs:
             if top_point(arc) > self.n:
                 raise InvalidArc(f"{arc} does not fit on {self.n} points")
-        if not all(itertools.starmap(compatible, itertools.combinations(self.arcs, 2))):
+        points = frozenset(range(-self.n, self.n + 1)) - {0}
+        try:
+            unfolded = DiagramA(points, frozenset(itertools.chain.from_iterable(map(unfold_arcs, self.arcs))))
+        except ValueError:
+            # Name the first incompatible pair of quotient arcs in arc_key order.
             pairs = itertools.combinations(sorted(self.arcs, key=arc_key), 2)
-            a, b = next(pair for pair in pairs if not compatible(*pair))
-            raise NotADiagram(f"incompatible arcs {a} and {b}")
+            bad = next((pair for pair in pairs if not compatible(*pair)), None)
+            if bad is None:
+                raise InvariantError(f"unfolded arcs of {self!r} cross, yet no two of its arcs do") from None
+            raise NotADiagram(f"incompatible arcs {bad[0]} and {bad[1]}") from None
+        object.__setattr__(self, "unfolded", unfolded)
 
     def __repr__(self) -> str:
         return f"DiagramB(n={self.n}, arcs={sorted(self.arcs, key=arc_key)})"
@@ -337,25 +351,32 @@ def _fold_pair_from_right_arc(a: ArcA) -> TypeBArc:
     )
 
 
-def signed_descent_arcs(pi: SignedPermutation) -> List[Tuple[object, TypeBArc]]:
-    """One quotient arc per lower cover of pi, keyed by "center" or the
-    short descent position k (0-based), the centre first.  The descent
-    w[k] > w[k + 1] unfolds to the piece from w[k + 1] up to w[k], and the
-    centre, w[0] < 0, to the piece from w[0] up to -w[0]; each passes right
-    of the points between its ends that come after it in w (see
-    forcing.contracted_descent), read right to left in one pass."""
-    w, n = pi.word, pi.n
-    out: List[Tuple[object, TypeBArc]] = []
-    after, p = 0, w[-1]
-    for k in range(n - 2, -1, -1):
-        q = w[k]
+def descent_keys(word: Sequence[int], n: int, centre: bool = True) -> List[Tuple[int, Key]]:
+    """(position, piece key) for each descent of a word over +/-1..n: the
+    centre first as position -1 when centre is set and word[0] < 0, then the
+    descents by position.  The descent word[k] > word[k + 1] is the piece
+    from word[k + 1] up to word[k], and the centre the piece from word[0] up
+    to -word[0]; each passes right of the points between its ends that come
+    after it in the word, read right to left in one pass."""
+    out: List[Tuple[int, Key]] = []
+    after, p = 0, word[-1]
+    for k in range(len(word) - 2, -1, -1):
+        q = word[k]
         if q > p:
-            out.append((k, _piece_arc(n, piece_key(n, p, q, after))))
+            out.append((k, piece_key(n, p, q, after)))
         after |= 1 << (p + n)
         p = q
-    if p < 0:
-        out.append(("center", _piece_arc(n, piece_key(n, p, -p, after))))
-    return out[::-1]
+    if centre and p < 0:
+        out.append((-1, piece_key(n, p, -p, after)))
+    out.reverse()
+    return out
+
+
+def signed_descent_arcs(pi: SignedPermutation) -> List[Tuple[object, TypeBArc]]:
+    """One quotient arc per lower cover of pi, keyed by "center" or the
+    short descent position k (0-based), the centre first (see descent_keys)."""
+    n = pi.n
+    return [("center" if k < 0 else k, _piece_arc(n, key)) for k, key in descent_keys(pi.word, n)]
 
 
 def _piece_arc(n: int, key: Key) -> TypeBArc:
@@ -373,17 +394,7 @@ def diagram_of_signed(pi: SignedPermutation) -> DiagramB:
 
 def signed_of_diagram(diagram: DiagramB) -> SignedPermutation:
     """Inverse of diagram_of_signed, via the symmetric model."""
-    if diagram.n > MAX_POINTS:
-        raise ScopeExceeded(f"diagrams supported up to n = {MAX_POINTS}")
-    arcs: set = set()
-    for arc in diagram.arcs:
-        arcs.update(unfold_arcs(arc))
-    points = frozenset(v for v in range(-diagram.n, diagram.n + 1) if v != 0)
-    try:
-        dia = DiagramA(points, frozenset(arcs))
-    except ValueError as exc:
-        raise NotADiagram(str(exc)) from exc
-    return fold(arcs_a.word_of(dia))
+    return fold(arcs_a.word_of(diagram.unfolded))
 
 
 def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
@@ -415,18 +426,13 @@ def join_irreducible_word(arc: TypeBArc, n: int) -> Word:
 
 def arc_of_join_irreducible(pi: SignedPermutation) -> TypeBArc:
     """The unique arc in the diagram of a join-irreducible signed permutation,
-    read off its one descent (see signed_descent_arcs)."""
+    read off its one descent (see descent_keys)."""
     if not is_join_irreducible_signed(pi):
         raise NotJoinIrreducible(f"{pi} is not join-irreducible")
-    w, n = pi.word, pi.n
-    steps = [k for k in range(n - 1) if w[k] > w[k + 1]]
-    if w[0] < 0:
-        steps.append(-1)
-    if len(steps) != 1:
-        raise InvariantError(f"diagram of join-irreducible {pi} has {len(steps)} arcs")
-    k = steps[0]
-    p, q = (w[0], -w[0]) if k < 0 else (w[k + 1], w[k])
-    return _piece_arc(n, piece_key(n, p, q, sum(1 << (v + n) for v in w[k + 2:])))
+    keys = descent_keys(pi.word, pi.n)
+    if len(keys) != 1:
+        raise InvariantError(f"diagram of join-irreducible {pi} has {len(keys)} arcs")
+    return _piece_arc(pi.n, keys[0][1])
 
 
 class KeyedArcs(NamedTuple):

@@ -15,8 +15,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations, starmap
 from math import factorial
-from operator import or_
+from operator import gt, or_
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import arcs_a, arcs_b
@@ -217,23 +218,23 @@ class ArrowEdge:
             raise ValueError("arrow source must be a subarc of its target")
 
 
+def arrow_rows(n: int) -> List[int]:
+    """Row i is the bitmask of the arcs j with an arrow from arc i to arc j,
+    over the arcs on n points in _all_arcs order.  An arrow runs only to a
+    superarc, so only the pairs of subarc_table(n).row(i) are tested."""
+    arcs, table = _all_arcs(n), subarc_table(n)
+    return [sum(1 << j for j in bits(table.row(i)) if has_arrow(a, arcs[j])) for i, a in enumerate(arcs)]
+
+
 def arrow_edges(n: int) -> List[ArrowEdge]:
     arcs = _all_arcs(n)
-    return [
-        ArrowEdge(a, b) for a in arcs for b in arcs if has_arrow(a, b)
-    ]
+    return [ArrowEdge(arcs[i], arcs[j]) for i, row in enumerate(arrow_rows(n)) for j in bits(row)]
 
 
-def arrow_closure(arcs: Sequence[TypeBArc]) -> Dict[TypeBArc, frozenset]:
-    """Reflexive-transitive closure of the arrow relation on the given arcs."""
-    reach = transitive_closure([
-        sum(1 << j for j, b in enumerate(arcs) if i != j and has_arrow(a, b))
-        for i, a in enumerate(arcs)
-    ])
-    return {
-        a: frozenset(arcs[j] for j in range(len(arcs)) if reach[i] >> j & 1)
-        for i, a in enumerate(arcs)
-    }
+def arrow_closure(n: int) -> List[int]:
+    """Reflexive-transitive closure of the arrow relation on the arcs on n
+    points, as bitmask rows in _all_arcs order."""
+    return transitive_closure(arrow_rows(n))
 
 
 def _keyed_arcs(n: int) -> arcs_b.KeyedArcs:
@@ -550,29 +551,20 @@ def _signed_mask(theta: ArcCongruence) -> int:
     return theta.mask
 
 
-def _first_descent(word: Sequence[int], keys: frozenset, n: int) -> Tuple[Optional[int], int]:
-    """The first position k with word[k] > word[k + 1] whose arc's key (see
-    arcs_b.piece_key, point v at bit v + n) is in keys, or None, and the
-    point mask of word[1:].  The points right of a descent's arc are the
-    values between its ends that come after it in the word; after holds
-    those of word[k + 2:] while position k is read, right to left."""
-    after, p, first = 0, word[-1], None
-    for k in range(len(word) - 2, -1, -1):
-        q = word[k]
-        if q > p and piece_key(n, p, q, after) in keys:
-            first = k
-        after |= 1 << (p + n)
-        p = q
-    return first, after
-
-
 def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
     """The first descent of a signed word whose arc is in keys (see
     ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
     short position; None if there is none."""
-    n, p = len(word), word[0]
-    first, after = _first_descent(word, keys, n)
-    return -1 if p < 0 and piece_key(n, p, -p, after) in keys else first
+    return _first_in(arcs_b.descent_keys(word, len(word)), keys)
+
+
+def _first_in(descents: Iterable[Tuple[int, Key]], keys: frozenset) -> Optional[int]:
+    """The position of the first of descents (see arcs_b.descent_keys) whose
+    key is in keys, or None."""
+    for k, key in descents:
+        if key in keys:
+            return k
+    return None
 
 
 def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
@@ -687,30 +679,21 @@ class DescentTable:
         arc_of = arcs_b.keyed_arcs(n).index
         self.start, self.arc, self.lower = array("i", [0]), array("i"), array("i")
         self.descents: List[int] = []
-        lengths = []
+        lengths, half = [], n * (n + 1) // 2
         for i, w in enumerate(words):
             if store[i] is None:
                 store[i] = SignedPermutation(w)
-            # Right to left; after holds the points of w[k + 2:], then of
-            # w[k + 1:].  The length is the inversions plus the negated
-            # negative entries.
-            steps, after, p = [], 0, w[-1]
-            length = max(0, -p)
-            for k in range(n - 2, -1, -1):
-                q = w[k]
-                if q > p:
-                    steps.append((arc_of[piece_key(n, p, q, after)], w[:k] + (p, q) + w[k + 2:]))
-                after |= 1 << (p + n)
-                length += (after & (1 << (q + n)) - 1).bit_count() + max(0, -q)
-                p = q
-            if p < 0:
-                steps.append((arc_of[piece_key(n, p, -p, after)], (-p,) + w[1:]))
-            for a, u in reversed(steps):
+            mask = 0
+            for k, key in arcs_b.descent_keys(w, n):
+                a = arc_of[key]
                 self.arc.append(a)
-                self.lower.append(index[u])
-            self.descents.append(reduce(or_, (1 << a for a, _u in steps), 0))
+                self.lower.append(index[(-w[0],) + w[1:] if k < 0 else w[:k] + (w[k + 1], w[k]) + w[k + 2:]])
+                mask |= 1 << a
+            self.descents.append(mask)
             self.start.append(len(self.arc))
-            lengths.append(length)
+            # The length: the inversions plus -v for each negative entry v,
+            # which sum to (1 + ... + n - sum(w)) / 2.
+            lengths.append(sum(starmap(gt, combinations(w, 2))) + (half - sum(w)) // 2)
         self.order = array("i", sorted(range(len(words)), key=lengths.__getitem__))
 
 
@@ -809,7 +792,7 @@ def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...
     """Bottom element of the class of a word over +/-1..n, by contracted-
     descent removal, read on the keys of theta's contracted arcs."""
     keys, w = theta.contracted_arc_keys, list(word)
-    while (step := _first_descent(w, keys, theta.n)[0]) is not None:
+    while (step := _first_in(arcs_b.descent_keys(w, theta.n, centre=False), keys)) is not None:
         w[step], w[step + 1] = w[step + 1], w[step]
     return tuple(w)
 

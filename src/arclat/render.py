@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .arcs_b import DiagramB, LongArc, OrbifoldArc, OrdinaryArc, TypeBArc, arc_key
-from .util import MAX_POINTS, ScopeExceeded
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,6 @@ def _long_span(arc: LongArc) -> tuple:
 
 
 def render(diagram: DiagramB, spec: RenderSpec = RenderSpec()) -> str:
-    if diagram.n > MAX_POINTS:
-        raise ScopeExceeded(f"drawings supported up to n = {MAX_POINTS}")
     lay = layout(diagram)
     if spec.format == "svg":
         return _svg(lay, spec)

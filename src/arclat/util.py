@@ -13,8 +13,9 @@ class ScopeExceeded(Exception):
 # The most points of a diagram that map and render accept.  On a 2-core VM
 # an empty diagram on 5,000 points took 5 s and 1.6 GB to draw (the ascii
 # grid has (2n + 5) x (4n + 9) cells), and a random signed word on 1,000
-# points took about 2 s to map to its diagram (map --type b) and 6 s back,
-# most of both comparing every pair of arcs.
+# points took about 0.8 s to map to its diagram (map --type b) and 0.7 s
+# back, most of both in the one pairwise noncrossing check of its unfolded
+# arcs and, back, in word_of comparing every pair of blocks.
 MAX_POINTS = 1000
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -28,7 +29,7 @@ from arclat.permutations import (
     unfold,
     weak_order_lattice,
 )
-from arclat.util import InvariantError
+from arclat.util import MAX_POINTS, InvariantError, ScopeExceeded
 from test_arcs_a import relation_by_sets
 
 
@@ -392,6 +393,92 @@ def test_incompatible_diagram_b_names_the_first_pair_in_key_order():
     with pytest.raises(NotADiagram) as err:
         DiagramB(3, arcs)
     assert str(err.value) == "incompatible arcs Ord(1,2;R=[]) and Long(L2,R3;L=[1],R=[])"
+
+
+def check_one_noncrossing_check(n, arcs):
+    """DiagramB(n, arcs) is built exactly when every pair of its arcs is
+    compatible, keeps the DiagramA of their unfolded pieces, and else names
+    the first incompatible pair in arc_key order."""
+    pairs = itertools.combinations(sorted(arcs, key=arc_key), 2)
+    bad = next((pair for pair in pairs if not arcs_b.compatible(*pair)), None)
+    if bad is None:
+        d = DiagramB(n, frozenset(arcs))
+        pieces = frozenset(a for arc in arcs for a in arcs_b.unfold_arcs(arc))
+        assert d.unfolded == arcs_a.DiagramA(frozenset(v for v in range(-n, n + 1) if v), pieces)
+        return
+    with pytest.raises(NotADiagram) as err:
+        DiagramB(n, frozenset(arcs))
+    assert str(err.value) == f"incompatible arcs {bad[0]} and {bad[1]}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_noncrossing_check_on_every_small_subset(n):
+    arcs = arcs_b.all_arcs(n)
+    for k in (2, 3):
+        for chosen in itertools.combinations(arcs, k):
+            check_one_noncrossing_check(n, chosen)
+
+
+def test_one_noncrossing_check_on_every_pair_at_rank_four():
+    for chosen in itertools.combinations(arcs_b.all_arcs(4), 2):
+        check_one_noncrossing_check(4, chosen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_one_noncrossing_check_on_random_arc_sets(n):
+    """Seeded arc sets: a random signed word's diagram, a greedy clique of
+    the compatibility graph, each with one random arc added, and random
+    arcs of any kind."""
+    rng = random.Random(n)
+    arcs = arcs_b.all_arcs(n)
+    for _ in range(100):
+        word = [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n)]
+        own = arcs_b.diagram_of_signed(SignedPermutation(tuple(word))).arcs
+        clique, size = [], rng.randint(1, 2 * n)
+        for arc in rng.sample(arcs, len(arcs)):
+            if len(clique) < size and all(arcs_b.compatible(arc, other) for other in clique):
+                clique.append(arc)
+        for chosen in (own, clique):
+            check_one_noncrossing_check(n, chosen)
+            check_one_noncrossing_check(n, set(chosen) | {rng.choice(arcs)})
+        check_one_noncrossing_check(n, rng.sample(arcs, rng.randint(2, 5)))
+
+
+def test_a_diagram_past_max_points_is_refused_when_built():
+    with pytest.raises(ScopeExceeded):
+        DiagramB(MAX_POINTS + 1, frozenset())
+    assert DiagramB(MAX_POINTS, frozenset()).unfolded.points == frozenset(range(-MAX_POINTS, MAX_POINTS + 1)) - {0}
+
+
+def test_unfolded_crossing_without_a_crossing_pair_is_an_invariant_error(monkeypatch):
+    """Were the unfolded pieces to cross while no two quotient arcs are
+    incompatible, that is a bug, reported as such."""
+    monkeypatch.setattr(arcs_b, "compatible", lambda a, b: True)
+    with pytest.raises(InvariantError):
+        DiagramB(2, frozenset([OrbifoldArc(1, frozenset()), OrbifoldArc(2, frozenset())]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_descent_keys_follow_lower_covers_and_the_unfolding(n):
+    """Every signed word's descent keys sit at the positions of its lower
+    covers, the centre first as -1, and each names the arc that the unfold
+    route gives."""
+    for pi in all_signed_permutations(n):
+        w = pi.word
+        keys = arcs_b.descent_keys(w, n)
+        positions = [-1 if u[0] == -w[0] else next(i for i in range(n) if u[i] != w[i]) for _t, u in lower_covers(w)]
+        assert [k for k, _key in keys] == positions, pi
+        expect = [arc for _k, arc in signed_descent_arcs_by_unfolding(pi)]
+        assert [arcs_b._piece_arc(n, key) for _k, key in keys] == expect, pi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_descent_keys_without_centre_are_the_type_a_descents(n):
+    """On the long words, centre=False gives the keys of arcs_a.descent_arcs."""
+    for pi in all_signed_permutations(n):
+        word = unfold(pi)
+        expect = [(i, (a.bottom, a.top, sum(1 << (v + n) for v in a.right))) for i, a in arcs_a.descent_arcs(word)]
+        assert arcs_b.descent_keys(word, n, centre=False) == expect, pi
 
 
 @pytest.fixture

@@ -188,10 +188,10 @@ def test_arrow_blocked_without_partner():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_arrow_closure_is_subarc_order(n):
     arcs = arcs_b.all_arcs(n)
-    closure = forcing.arrow_closure(arcs)
-    for a in arcs:
-        for b in arcs:
-            assert (b in closure[a]) == is_subarc(a, b)
+    closure = forcing.arrow_closure(n)
+    for i, a in enumerate(arcs):
+        for j, b in enumerate(arcs):
+            assert bool(closure[i] >> j & 1) == is_subarc(a, b)
 
 
 # has_arrow's edges as (source, target) indices into _all_arcs(n): their
@@ -206,9 +206,14 @@ ARROW_EDGES = {
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_arrow_edges_match_the_stored_edge_sets(n):
+    """has_arrow on every pair, and arrow_edges' own list and order, both
+    as index pairs."""
     arcs = forcing._all_arcs(n)
     edges = [(i, j) for i, a in enumerate(arcs) for j, b in enumerate(arcs) if has_arrow(a, b)]
     assert (len(edges), hashlib.sha256(repr(edges).encode()).hexdigest()) == ARROW_EDGES[n]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    listed = [(index[e.source], index[e.target]) for e in forcing.arrow_edges(n)]
+    assert (len(listed), hashlib.sha256(repr(listed).encode()).hexdigest()) == ARROW_EDGES[n]
 
 
 def test_forces_alias():

@@ -227,14 +227,13 @@ def test_forcing_and_arrows_subcommands():
     code, out = run_cli("arrows", "--n", "2")
     assert code == 0
     arrows = json.loads(out)["arrows"]
-    closure = forcing.arrow_closure(arcs_b.all_arcs(2))
-    count = sum(
-        1
-        for a in arcs_b.all_arcs(2)
-        for b in arcs_b.all_arcs(2)
-        if forcing.has_arrow(a, b)
-    )
+    arcs = arcs_b.all_arcs(2)
+    count = sum(1 for a in arcs for b in arcs if forcing.has_arrow(a, b))
     assert len(arrows) == count
+    closure = forcing.arrow_closure(2)
+    for source, target in arrows:
+        i, j = (arcs.index(serialize.arc_b_from_json(arc)) for arc in (source, target))
+        assert closure[i] >> j & 1
 
 
 def test_shards_subcommand():

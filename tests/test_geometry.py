@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pathlib
@@ -6,12 +7,14 @@ import sys
 
 import pytest
 
-from arclat import arcs_a, arcs_b, geometry as geo, lattice as lat
+from arclat import arcs_a, arcs_b, geometry as geo, lattice as lat, verify
 from arclat.permutations import CoxeterType, weak_order_lattice
 from arclat.util import InvariantError, dot
 from test_feasible import FractionSystem, assert_primitive, primitive
+from test_serialize_cli import run_cli
 
 ARRANGEMENTS = [("B", 2), ("B", 3), ("A", 3), ("A", 4)]
+ADMITTED = [("B", 1), ("B", 2), ("B", 3), ("A", 1), ("A", 2), ("A", 3), ("A", 4)]
 
 
 def base_region(arr):
@@ -32,6 +35,52 @@ def test_arrangement_counts(family, n, hyperplanes, regions):
 def test_scope_guard():
     with pytest.raises(lat.ScopeExceeded):
         geo.coxeter_arrangement(CoxeterType("B", 4))
+
+
+@pytest.mark.parametrize("family,n", ADMITTED)
+def test_hyperplanes_are_the_inversions_of_the_longest_element(family, n):
+    """The arrangement's hyperplanes are the fixed hyperplanes of the
+    reflections, read off the inversions of the top of the weak order."""
+    arr = geo.coxeter_arrangement(CoxeterType(family, n))
+    W = weak_order_lattice(CoxeterType(family, n))
+    fixed = {geo.reflection_hyperplane(t, n) for t in W.labels[W.top].inversions()}
+    assert set(arr.hyperplanes) == fixed and len(arr.hyperplanes) == len(fixed)
+
+
+def test_geometry_results_are_pinned():
+    """One digest over every geometry result at each rank the arrangements
+    admit: the hyperplanes, their orientation and the regions with their
+    witnesses, the shards, the lower shards of every region and the minimal
+    upper region of every shard, compatibility and both arrow criteria on
+    every ordered pair of shards, the geometry and shard-digraph suites, and
+    the exit code and stdout of the shards command, so that a change of the
+    systems the geometry solves, or of their rows' order, shows as a
+    changed byte."""
+    digest = hashlib.sha256()
+    for family, n in ADMITTED:
+        arr = geo.coxeter_arrangement(CoxeterType(family, n))
+        shards = geo.shards(arr)
+        facts = [
+            arr.hyperplanes,
+            arr.oriented,
+            arr.regions(),
+            shards,
+            [geo.lower_shards(arr, r, shards) for r in arr.regions()],
+            [geo.min_upper_region(arr, s, shards) for s in shards],
+            [
+                (
+                    geo.shards_compatible(arr, s1, s2),
+                    geo.shard_arrow_geometric(arr, s1, s2),
+                    geo.arrow_witness_check(arr, s1, s2, shards),
+                )
+                for s1, s2 in itertools.product(shards, repeat=2)
+            ],
+            verify.suite_geometry(n, family),
+            verify.suite_shard_digraph(n, family),
+        ]
+        code, out = run_cli("shards", "--type", family.lower(), "--n", str(n))
+        digest.update(f"{family}{n} {facts!r}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == "20eb356d4532fbdecad9f973fea0f54df638e9f034301ac404d1599775484f05"
 
 
 def test_importing_geometry_loads_no_rational_arithmetic():

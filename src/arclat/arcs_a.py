@@ -62,12 +62,12 @@ def shared_arc(bottom: int, top: int, right: frozenset) -> ArcA:
     object: it is built and validated the first time it is asked for, so
     its masks are computed once, and an invalid arc raises on every call.
 
-    The SHARED_ARCS most recently used arcs are kept, here and in
-    arcs_b.arc_of_key: 4,096 holds every arc on +/-1..+/-6
-    (4,083), every quotient arc of the largest arc table, on 7 points
-    (2,179), and the at most 2,000 unfolded pieces of a diagram on
-    MAX_POINTS points, while a process that maps many large diagrams
-    keeps no more arcs than that."""
+    The SHARED_ARCS most recently used entries are kept, here and in each
+    arcs_b cache keyed by arc (arc_of_key, unfold_arcs, _drawable): 4,096
+    holds every arc on +/-1..+/-6 (4,083), every quotient arc of the
+    largest arc table, on 7 points (2,179), and the at most 2,000 unfolded
+    pieces of a diagram on MAX_POINTS points, while a process that maps
+    many large diagrams keeps no more than that in each cache."""
     return ArcA(bottom, top, passed(bottom, top) - right, right)
 
 

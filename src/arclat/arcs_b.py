@@ -199,7 +199,7 @@ def validate_long_arc(left_end: int, right_end: int, left: Iterable[int], right:
     return True
 
 
-@lru_cache(maxsize=100000)
+@lru_cache(maxsize=SHARED_ARCS)
 def _drawable(left_end: int, right_end: int, left: frozenset, right: frozenset) -> bool:
     """validate_long_arc for endpoints and side sets already checked.  The
     right piece runs from -left_end up to right_end, passing right of the
@@ -280,7 +280,7 @@ def unfold_phi_inv(arc: TypeBArc) -> SymArcOrPair:
     return SymmetricPair(frozenset((a, b)))
 
 
-@lru_cache(maxsize=100000)
+@lru_cache(maxsize=SHARED_ARCS)
 def unfold_arcs(arc: TypeBArc) -> Tuple[ArcA, ...]:
     """The type-A arcs covering arc in the symmetric model (one or two)."""
     sym = unfold_phi_inv(arc)

@@ -67,6 +67,29 @@ class Region:
         return frozenset(i for i, s in enumerate(self.signs) if s < 0)
 
 
+def _sided(arr: Arrangement, sides) -> list:
+    """The row s n_k of each (k, s) in sides: positive on side s of H_k."""
+    return [arr.oriented[k] if s > 0 else arr.opposite[k] for k, s in sides]
+
+
+def _system(dim: int, eqs=(), ges=(), gts=()) -> LinearSystem:
+    """The cone eqs = 0, ges >= 0, gts > 0, its rows added in that order."""
+    sys = LinearSystem(dim)
+    for row in eqs:
+        sys.eq(row)
+    for row in ges:
+        sys.ge(row)
+    for row in gts:
+        sys.gt(row)
+    return sys
+
+
+def _closed_cone_inside(dim: int, eqs, ges, bounds) -> bool:
+    """The closed cone eqs = 0, ges >= 0 lies in the halfspace b >= 0 of
+    every row b of bounds: no point of it has b < 0, tried in bounds order."""
+    return not any(_system(dim, eqs, ges, [[-c for c in b]]).feasible() for b in bounds)
+
+
 class Arrangement:
     """A central arrangement with a chosen base region."""
 
@@ -82,6 +105,7 @@ class Arrangement:
                 raise ValueError("base point lies on a hyperplane")
             oriented.append(tuple(h.normal) if d > 0 else tuple(-c for c in h.normal))
         self.oriented = tuple(oriented)
+        self.opposite = tuple(tuple(-c for c in v) for v in oriented)  # away from it
         self._regions: Optional[tuple] = None
         self._by_signs: Optional[dict] = None
         self._rank_two: dict = {}  # (i, j) with i < j -> (members, basics)
@@ -125,10 +149,7 @@ class Arrangement:
 
     def _cone(self, signs: tuple) -> LinearSystem:
         """s_i (n_i . x) > 0 for the leading hyperplanes, one per sign."""
-        sys = LinearSystem(self.dim)
-        for s, normal in zip(signs, self.oriented):
-            sys.gt([s * c for c in normal])
-        return sys
+        return _system(self.dim, gts=_sided(self, enumerate(signs)))
 
     def region_of(self, signs: tuple) -> Optional[Region]:
         """The region with these signs, or None if that cone is empty."""
@@ -138,30 +159,21 @@ class Arrangement:
 
 
 def coxeter_arrangement(cox: CoxeterType) -> Arrangement:
-    """Reflection arrangement with the base region containing (1, 2, ..., n)."""
+    """Reflection arrangement with the base region containing (1, 2, ..., n):
+    the fixed hyperplanes of the reflections, the sign changes first in
+    type B, then each pair i < j."""
     n = cox.n
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     if cox.family == "A":
         if n > 4:
             raise ScopeExceeded("type A arrangements supported up to n = 4")
-        normals = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                v = [0] * n
-                v[i - 1], v[j - 1] = 1, -1
-                normals.append(v)
+        reflections = [Reflection("A", i, j) for i, j in pairs]
     else:
         if n > 3:
             raise ScopeExceeded("type B arrangements supported up to n = 3")
-        normals = [list(unit(n, i)) for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                v = [0] * n
-                v[i - 1], v[j - 1] = 1, -1
-                normals.append(v)
-                w = [0] * n
-                w[i - 1], w[j - 1] = 1, 1
-                normals.append(w)
-    return Arrangement([hyperplane(v) for v in normals], range(1, n + 1))
+        reflections = [Reflection("B", -i, i) for i in range(1, n + 1)]
+        reflections += [Reflection("B", a, j) for i, j in pairs for a in (i, -i)]
+    return Arrangement([reflection_hyperplane(t, n) for t in reflections], range(1, n + 1))
 
 
 def poset_of_regions(arr: Arrangement) -> FiniteLattice:
@@ -179,34 +191,25 @@ def poset_of_regions(arr: Arrangement) -> FiniteLattice:
 def weak_order_isomorphism(arr: Arrangement, lattice: FiniteLattice) -> Dict[int, Region]:
     """Isomorphism from a weak-order lattice onto the poset of regions.
 
-    Seeded at the identity and propagated along covers: the image of w s is
-    the unique region above the image of w separated additionally by the
-    hyperplane of the cover reflection.
+    Each element goes to the region separated from the base region by the
+    hyperplanes of its inversions; the map is checked to be a bijection that
+    sends covers to covers.
     """
     regions = arr.regions()
     by_sep = {r.separating(): r for r in regions}
-    n = arr.dim
-    mapping: Dict[int, Region] = {}
-    order = sorted(range(lattice.n), key=lambda i: len(lattice.labels[i].inversions()))
-    for i in order:
-        w = lattice.labels[i]
-        want = frozenset(
-            arr.hyperplanes.index(reflection_hyperplane(t, n)) for t in w.inversions()
-        )
-        r = by_sep.get(want)
-        if r is None:
-            raise ValueError("poset of regions does not match the weak order")
-        mapping[i] = r
-    # check cover bijectivity both ways
-    sep_to_idx = {mapping[i].separating(): i for i in range(lattice.n)}
-    if len(sep_to_idx) != lattice.n or len(regions) != lattice.n:
+    seps = [
+        frozenset(arr.hyperplanes.index(reflection_hyperplane(t, arr.dim)) for t in w.inversions())
+        for w in lattice.labels
+    ]
+    if any(sep not in by_sep for sep in seps):
+        raise ValueError("poset of regions does not match the weak order")
+    if len(set(seps)) != lattice.n or len(regions) != lattice.n:
         raise ValueError("not a bijection")
     for a in range(lattice.n):
         for b in lattice.covers_up[a]:
-            sa, sb = mapping[a].separating(), mapping[b].separating()
-            if not (sa < sb and len(sb) == len(sa) + 1):
+            if not (seps[a] < seps[b] and len(seps[b]) == len(seps[a]) + 1):
                 raise ValueError("covers do not match")
-    return mapping
+    return {i: by_sep[sep] for i, sep in enumerate(seps)}
 
 
 def rank_two(arr: Arrangement, i: int, j: int) -> Tuple[tuple, tuple]:
@@ -227,15 +230,11 @@ def _rank_two(arr: Arrangement, i: int, j: int) -> Tuple[tuple, tuple]:
     for k, nk in enumerate(arr.oriented):
         if _in_span(nk, ni, nj):
             members.append(k)
-    basics = []
-    for k in members:
-        sys = LinearSystem(arr.dim)
-        sys.eq(arr.oriented[k])
-        for l in members:
-            if l != k:
-                sys.gt(arr.oriented[l])
-        if sys.feasible():
-            basics.append(k)
+    basics = [
+        k
+        for k in members
+        if _system(arr.dim, [arr.oriented[k]], gts=[arr.oriented[l] for l in members if l != k]).feasible()
+    ]
     if len(basics) != 2:
         raise ValueError("rank-two subarrangement must have two walls")
     return tuple(members), tuple(basics)
@@ -283,12 +282,9 @@ def shards(arr: Arrangement) -> tuple:
             out.append(ShardCone(h, ()))
             continue
         for signs in itertools.product((1, -1), repeat=len(cutters)):
-            sys = LinearSystem(arr.dim)
-            sys.eq(arr.oriented[h])
-            for s, k in zip(signs, cutters):
-                sys.gt([s * c for c in arr.oriented[k]])
-            if sys.feasible():
-                out.append(ShardCone(h, tuple(sorted(zip(cutters, signs)))))
+            sides = tuple(zip(cutters, signs))
+            if _system(arr.dim, [arr.oriented[h]], gts=_sided(arr, sides)).feasible():
+                out.append(ShardCone(h, tuple(sorted(sides))))
     return tuple(out)
 
 
@@ -369,14 +365,8 @@ def shards_compatible(arr: Arrangement, s1: ShardCone, s2: ShardCone) -> bool:
         return True
     if s1.carrier == s2.carrier:
         return False
-    sys = LinearSystem(arr.dim)
-    sys.eq(arr.oriented[s1.carrier])
-    sys.eq(arr.oriented[s2.carrier])
-    for k, s in s1.sides:
-        sys.gt([s * c for c in arr.oriented[k]])
-    for k, s in s2.sides:
-        sys.gt([s * c for c in arr.oriented[k]])
-    return sys.feasible()
+    eqs = [arr.oriented[s1.carrier], arr.oriented[s2.carrier]]
+    return _system(arr.dim, eqs, gts=_sided(arr, s1.sides + s2.sides)).feasible()
 
 
 def shard_arrow_geometric(arr: Arrangement, s1: ShardCone, s2: ShardCone) -> bool:
@@ -385,15 +375,9 @@ def shard_arrow_geometric(arr: Arrangement, s1: ShardCone, s2: ShardCone) -> boo
     if not cuts(arr, s1.carrier, s2.carrier):
         return False
     n1, n2 = arr.oriented[s1.carrier], arr.oriented[s2.carrier]
-    sys = LinearSystem(arr.dim)
-    sys.eq(n1)
-    sys.eq(n2)
-    for k, s in tuple(s1.sides) + tuple(s2.sides):
-        nk = arr.oriented[k]
-        if _in_span(nk, n1, n2):
-            continue  # vanishes on the intersection subspace
-        sys.gt([s * c for c in nk])
-    return sys.feasible()
+    # a side whose normal is in the span vanishes on the intersection subspace
+    sides = [(k, s) for k, s in s1.sides + s2.sides if not _in_span(arr.oriented[k], n1, n2)]
+    return _system(arr.dim, [n1, n2], gts=_sided(arr, sides)).feasible()
 
 
 def arrow_witness_check(arr: Arrangement, s1: ShardCone, s2: ShardCone, all_shards: Sequence[ShardCone]) -> bool:
@@ -421,22 +405,10 @@ def arrow_witness_check(arr: Arrangement, s1: ShardCone, s2: ShardCone, all_shar
 
 
 def _cone_contained(arr: Arrangement, s1: ShardCone, s1p: ShardCone, s2: ShardCone) -> bool:
-    """(closure of s1) cap (closure of s1') inside the closure of s2."""
-    base_eqs = [arr.oriented[s1.carrier], arr.oriented[s1p.carrier]]
-    base_ineqs = [
-        (k, s) for k, s in tuple(s1.sides) + tuple(s1p.sides)
-    ]
-    # carrier of s2 must vanish on the intersection; guaranteed by rank-two
-    for k, s in s2.sides:
-        sys = LinearSystem(arr.dim)
-        for e in base_eqs:
-            sys.eq(e)
-        for kk, ss in base_ineqs:
-            sys.ge([ss * c for c in arr.oriented[kk]])
-        sys.gt([-s * c for c in arr.oriented[k]])
-        if sys.feasible():
-            return False
-    return True
+    """(closure of s1) cap (closure of s1') inside the closure of s2; the
+    carrier of s2 vanishes on the intersection, by the rank-two test."""
+    eqs = [arr.oriented[s1.carrier], arr.oriented[s1p.carrier]]
+    return _closed_cone_inside(arr.dim, eqs, _sided(arr, s1.sides + s1p.sides), _sided(arr, s2.sides))
 
 
 def descriptor_matches(arr: Arrangement, shard: ShardCone, descriptor, n: int) -> bool:
@@ -444,22 +416,8 @@ def descriptor_matches(arr: Arrangement, shard: ShardCone, descriptor, n: int) -
     eq, ineqs = descriptor.linear_forms(n)
     if hyperplane(eq) != arr.hyperplanes[shard.carrier]:
         return False
-    # descriptor cone inside shard closure
-    for k, s in shard.sides:
-        sys = LinearSystem(arr.dim)
-        sys.eq(eq)
-        for v in ineqs:
-            sys.ge(v)
-        sys.gt([-s * c for c in arr.oriented[k]])
-        if sys.feasible():
-            return False
-    # shard closure inside descriptor cone
-    for v in ineqs:
-        sys = LinearSystem(arr.dim)
-        sys.eq(arr.oriented[shard.carrier])
-        for k, s in shard.sides:
-            sys.ge([s * c for c in arr.oriented[k]])
-        sys.gt([-c for c in v])
-        if sys.feasible():
-            return False
-    return True
+    sides = _sided(arr, shard.sides)
+    return _closed_cone_inside(arr.dim, [eq], ineqs, sides) and _closed_cone_inside(
+        arr.dim, [arr.oriented[shard.carrier]], sides, ineqs
+    )
+

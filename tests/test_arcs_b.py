@@ -563,3 +563,7 @@ def test_arc_caches_keep_at_most_their_bound(fresh_arcs):
     for cache in (arcs_a.shared_arc, arcs_b.arc_of_key):
         info = cache.cache_info()
         assert info.misses == SHARED_ARCS + 10 and info.currsize == info.maxsize == SHARED_ARCS
+    # the arcs_b caches keyed by arc hold the same bound, so that unfolded
+    # pieces evicted from shared_arc do not outlive it there
+    for cache in (arcs_b.unfold_arcs, arcs_b._drawable):
+        assert cache.cache_info().maxsize == SHARED_ARCS

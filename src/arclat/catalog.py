@@ -201,12 +201,16 @@ def _pattern_mids(d: Designation) -> Tuple[frozenset, frozenset]:
 def cambrian_pattern_test(pi: SignedPermutation, d: Designation) -> bool:
     """No b..c..a in the long word with a < b < c and b a right point or the
     negative of a left point."""
+    if pi.n != d.n:
+        raise ValueError("designation size mismatch")
     return _avoids(pi, (2, 0, 1), _pattern_mids(d)[0])
 
 
 def cambrian_pattern_test_312(pi: SignedPermutation, d: Designation) -> bool:
     """Equivalent criterion: no c..a..b with a < b < c and b a left point or
     the negative of a right point."""
+    if pi.n != d.n:
+        raise ValueError("designation size mismatch")
     return _avoids(pi, (1, 2, 0), _pattern_mids(d)[1])
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, starmap
+from itertools import accumulate, combinations, starmap
 from math import factorial
 from operator import gt, or_
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -260,22 +260,19 @@ class ArcTable:
     when arc i is related to arc j, and row i is the transpose: bit j set
     for the same pairs.  Each column and row is computed, by column(j) or
     row(i), the first time it is asked for and then kept, so a row costs no
-    column, and a mask of arcs builds only its own arcs.  col_cost[j] and
-    row_cost[i] estimate what computing each column and row costs, in one
-    unit for both."""
+    column, and a mask of arcs builds only its own arcs.  In the subarc
+    tables a column is one key lookup per type-A subarc of the arc's main
+    piece, and a row an AND of per-point bitmasks (see _superkeys)."""
 
     def __init__(self, n: int, keys: Sequence, index: Dict, key_of: Callable, arc_of: Callable,
-                 column: Callable[[int], int], row: Callable[[int], int],
-                 col_cost: Sequence[int], row_cost: Sequence[int]):
+                 column: Callable[[int], int], row: Callable[[int], int]):
         self.n = n
         self.keys, self.index = tuple(keys), index
         self.key_of, self.arc_of = key_of, arc_of
         self.full = (1 << len(self.keys)) - 1
         self.column, self.row_of = column, row
-        self.col_cost, self.row_cost = col_cost, row_cost
         self._cols: List[Optional[int]] = [None] * len(self.keys)
         self._rows: List[Optional[int]] = [None] * len(self.keys)
-        self._cols_todo = self._rows_todo = self.full  # the ones not yet kept
 
     @property
     def arcs(self) -> tuple:
@@ -292,22 +289,14 @@ class ArcTable:
             raise ValueError(f"{arc} does not fit on {self.n} points")
         return i
 
-    def cost(self, mask: int, rows: bool) -> int:
-        """What reading the rows, or else the columns, of the arcs in mask
-        still costs: those already kept cost nothing."""
-        todo, cost = (self._rows_todo, self.row_cost) if rows else (self._cols_todo, self.col_cost)
-        return sum(cost[i] for i in bits(mask & todo))
-
     def col(self, j: int) -> int:
         if self._cols[j] is None:
             self._cols[j] = self.column(j)
-            self._cols_todo ^= 1 << j
         return self._cols[j]
 
     def row(self, i: int) -> int:
         if self._rows[i] is None:
             self._rows[i] = self.row_of(i)
-            self._rows_todo ^= 1 << i
         return self._rows[i]
 
     def up(self, mask: int) -> int:
@@ -321,8 +310,7 @@ class ArcTable:
         return frozenset(map(self.arc, bits(mask)))
 
 
-def _type_b_table(n: int, column: Callable[[int], int], row: Callable[[int], int],
-                  col_cost: Sequence[int], row_cost: Sequence[int]) -> ArcTable:
+def _type_b_table(n: int, column: Callable[[int], int], row: Callable[[int], int]) -> ArcTable:
     """An ArcTable over the main keys of _keyed_arcs(n)."""
     keyed = _keyed_arcs(n)
 
@@ -331,21 +319,7 @@ def _type_b_table(n: int, column: Callable[[int], int], row: Callable[[int], int
             return arcs_b.main_key(n, arc)
         return None
 
-    return ArcTable(n, keyed.main, keyed.index, key_of, lambda key: arcs_b.arc_of_key(n, key),
-                    column, row, col_cost, row_cost)
-
-
-# A subarc column makes one dict lookup per type-A subarc of its key and a
-# row one comparison per main key; at n = 7 a lookup takes about 13 times as
-# long (870 against 67 ns, over every column and every row).
-LOOKUP_COST = 13
-
-
-def _lookup_cost(key: Key) -> int:
-    """What _subkeys costs on key: LOOKUP_COST per pair of its points."""
-    p, q, _right = key
-    k = q - p + 1 - (p < 0 < q)
-    return LOOKUP_COST * (k * (k - 1) // 2)
+    return ArcTable(n, keyed.main, keyed.index, key_of, lambda key: arcs_b.arc_of_key(n, key), column, row)
 
 
 def _subkeys(n: int, key: Key, index: Dict[Key, int]) -> Iterator[Tuple[Key, int]]:
@@ -361,17 +335,35 @@ def _subkeys(n: int, key: Key, index: Dict[Key, int]) -> Iterator[Tuple[Key, int
                 yield sub, i
 
 
-def _superkeys(n: int, subs: Iterable[Key], mains: Sequence[Tuple[int, int, int, int]]) -> int:
-    """The bitmask of the j, over the entries (j, p, q, right) of mains, whose
-    arc key (p, q, right) has one of subs as a type-A subarc: some
-    (p', q', right & span(p', q')) with p <= p' < q' <= q."""
-    out = 0
-    for s, t, sub_right in subs:
-        span = (1 << (t + n)) - (1 << (s + n + 1))
-        for j, p, q, right in mains:
-            if p <= s and t <= q and right & span == sub_right:
-                out |= 1 << j
-    return out
+def _superkeys(n: int, keys: Sequence[Key]) -> Callable[[Key], int]:
+    """A map from a piece key (s, t, r) to the bitmask of the i whose key
+    keys[i] = (p, q, right) has it as a type-A subarc: p <= s < t <= q and
+    right & span(s, t) == r.  Over keys, low[s] holds the keys whose bottom
+    is at most s, high[t] those whose top is at least t, right[b] those
+    whose right set holds the point b and left[b] = ~right[b] the rest, each
+    indexed by point + n; the row is low[s] & high[t], ANDed for every point
+    b strictly between s and t with right[b] if r holds b and else with
+    left[b].  The planes are built on the first call."""
+    @lru_cache(maxsize=None)
+    def planes() -> Tuple[List[int], List[int], List[int], List[int]]:
+        bottoms, tops, right = ([0] * (2 * n + 1) for _ in range(3))
+        for i, (p, q, r) in enumerate(keys):
+            bottoms[p + n] |= 1 << i
+            tops[q + n] |= 1 << i
+            for b in bits(r):
+                right[b] |= 1 << i
+        return (list(accumulate(bottoms, or_)), list(accumulate(tops[::-1], or_))[::-1],
+                right, [~m for m in right])
+
+    def row(key: Key) -> int:
+        low, high, right, left = planes()
+        s, t, r = key
+        out = low[s + n] & high[t + n]
+        for b in range(s + n + 1, t + n):  # left[n], the origin's, is every key
+            out &= right[b] if r >> b & 1 else left[b]
+        return out
+
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -381,26 +373,25 @@ def subarc_table(n: int) -> ArcTable:
     arc j (see arcs_b.KeyedArcs), except that a long arc counts only through
     its own main piece and only under a long arc: both pieces of
     Long(L1,R2;[],[]) are type-A subarcs of Orb(2;[]), yet it is no subarc.
-    Row i tests the pieces of arc i against every main piece under the same
-    rule."""
+    Row i is the OR of the rows of arc i's pieces over every main key
+    (see _superkeys) under the same rule: a long arc's row is its main
+    piece's, cut to the long arcs."""
     keyed = _keyed_arcs(n)
     long = [p < 0 and p != -q for p, q, _right in keyed.main]
     pieces: List[List[Key]] = [[] for _ in keyed.main]
     for key, i in keyed.index.items():
         pieces[i].append(key)
-    mains = [(j,) + key for j, key in enumerate(keyed.main)]
-    long_mains = [m for m in mains if long[m[0]]]
+    long_mask = reduce(or_, (1 << j for j, is_long in enumerate(long) if is_long), 0)
+    superkeys = _superkeys(n, keyed.main)
 
     def column(j: int) -> int:
         hits = _subkeys(n, keyed.main[j], keyed.index)
         return reduce(or_, (1 << i for sub, i in hits if not long[i] or long[j] and sub == keyed.main[i]), 0)
 
     def row(i: int) -> int:
-        return _superkeys(n, [keyed.main[i]], long_mains) if long[i] else _superkeys(n, pieces[i], mains)
+        return superkeys(keyed.main[i]) & long_mask if long[i] else reduce(or_, map(superkeys, pieces[i]), 0)
 
-    col_cost = [_lookup_cost(key) for key in keyed.main]
-    row_cost = [len(long_mains) if long[i] else len(pieces[i]) * len(mains) for i in range(len(mains))]
-    return _type_b_table(n, column, row, col_cost, row_cost)
+    return _type_b_table(n, column, row)
 
 
 @lru_cache(maxsize=None)
@@ -410,8 +401,6 @@ def loose_subarc_table(n: int) -> ArcTable:
         n,
         lambda j: sum(1 << i for i, a in enumerate(arcs) if is_loose_subarc(a, arcs[j])),
         lambda i: sum(1 << j for j, b in enumerate(arcs) if is_loose_subarc(arcs[i], b)),
-        [len(arcs)] * len(arcs),
-        [len(arcs)] * len(arcs),
     )
 
 
@@ -426,7 +415,7 @@ def symmetric_subarc_table(n: int) -> ArcTable:
     points = [v for v in range(-n, n + 1) if v]
     keys = [_key_a(n, *sides) for sides in arcs_a.arc_sides(points)]
     index = {key: i for i, key in enumerate(keys)}
-    mains = [(j,) + key for j, key in enumerate(keys)]
+    superkeys = _superkeys(n, keys)
     return ArcTable(
         n,
         keys,
@@ -435,9 +424,7 @@ def symmetric_subarc_table(n: int) -> ArcTable:
                      if isinstance(arc, ArcA) and -n <= arc.bottom and arc.top <= n else None),
         lambda key: arcs_a.shared_arc(key[0], key[1], frozenset(i - n for i in bits(key[2]))),
         lambda j: reduce(or_, (1 << i for _sub, i in _subkeys(n, keys[j], index)), 0),
-        lambda i: _superkeys(n, [keys[i]], mains),
-        [_lookup_cost(key) for key in keys],
-        [len(mains)] * len(mains),
+        lambda i: superkeys(keys[i]),
     )
 
 
@@ -452,13 +439,12 @@ class ArcCongruence:
     table = staticmethod(subarc_table)
 
     def __post_init__(self):
-        # Up-closure on the cheaper side: contracted rows or uncontracted
-        # columns, whichever costs less to compute.
+        # Up-closure on the side with fewer arcs: the contracted rows or the
+        # uncontracted columns.
         table, mask = self.table(self.n), self.mask
         if mask < 0 or mask & ~table.full:
             raise ValueError(f"mask {mask:#x} has bits outside the {len(table.keys)} arcs on {self.n} points")
-        rows = table.cost(mask, True) <= table.cost(table.full & ~mask, False)
-        bad = _first_unclosed(table, mask, rows)
+        bad = _first_unclosed(table, mask, mask.bit_count() <= (table.full & ~mask).bit_count())
         if bad is not None:
             raise ValueError(f"contracted set not closed above {table.arc(bad)}")
 
@@ -571,8 +557,11 @@ def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
     """Bottom element of the congruence class of pi.
 
     Descends one cover at a time, removing a descent whose arc is
-    contracted, until every arc of the diagram is uncontracted.
+    contracted, until every arc of the diagram is uncontracted.  pi must
+    have theta's rank.
     """
+    if pi.n != theta.n:
+        raise ValueError(f"a signed permutation of rank {pi.n} under a congruence of rank {theta.n}")
     keys, w = theta.contracted_keys, list(pi.word)
     while (step := contracted_descent(w, keys)) is not None:
         if step < 0:
@@ -790,9 +779,13 @@ def _antipodes(n: int) -> tuple:
 
 def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...]:
     """Bottom element of the class of a word over +/-1..n, by contracted-
-    descent removal, read on the keys of theta's contracted arcs."""
+    descent removal, read on the keys of theta's contracted arcs.  The word
+    must be a permutation of +/-1..n, n theta's rank."""
+    n = theta.n
+    if sorted(word) != [*range(-n, 0), *range(1, n + 1)]:
+        raise ValueError(f"{word} is not a permutation of +/-1..{n}")
     keys, w = theta.contracted_arc_keys, list(word)
-    while (step := _first_in(arcs_b.descent_keys(w, theta.n, centre=False), keys)) is not None:
+    while (step := _first_in(arcs_b.descent_keys(w, n, centre=False), keys)) is not None:
         w[step], w[step + 1] = w[step + 1], w[step]
     return tuple(w)
 

@@ -1,7 +1,9 @@
 """JSON schemas for arcs, diagrams, congruences and permutations.
 
-These are the only wire formats; the CLI reads and writes nothing else.  A
-congruence is written as its contracted arcs and read back through
+These are the only formats the CLI reads, and it writes its arcs,
+diagrams and permutations in them; its counts, element lists, covers,
+arrows, shards and verify reports it builds itself.  A congruence is
+written as its contracted arcs and read back through
 ArcCongruence.from_arcs, which turns them into its stored bitmask.
 """
 

@@ -198,6 +198,16 @@ def test_cambrian_pattern_identity():
     assert cambrian_pattern_test(SignedPermutation((1, 2, 3)), d)
 
 
+@pytest.mark.parametrize("test", [cambrian_pattern_test, cambrian_pattern_test_312])
+def test_cambrian_pattern_tests_refuse_a_designation_of_another_size(test):
+    """As cambrian_congruence does: a rank-3 word under a designation of
+    rank 5, or a rank-4 word under one of rank 3."""
+    with pytest.raises(ValueError, match="designation size mismatch"):
+        test(SignedPermutation((3, 1, 2)), Designation.parse("RRRR"))
+    with pytest.raises(ValueError, match="designation size mismatch"):
+        test(SignedPermutation((4, 3, 1, 2)), Designation.parse("RR"))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_cambrian_pattern_equivalences(n):
     for sides in itertools.product("RL", repeat=n - 1):

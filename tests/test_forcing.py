@@ -136,6 +136,75 @@ def test_rows_are_computed_without_columns(build, relation):
     assert table._cols == [None] * len(table.arcs)
 
 
+def rows_by_scan(n, keys, pieces, long=None):
+    """Reference rows: every piece key (s, t, r) of arc i tested against
+    every key (p, q, right), p <= s < t <= q and right & span(s, t) == r,
+    a long arc i only through its own key and only against long keys."""
+    long = long or [False] * len(keys)
+    rows = []
+    for i in range(len(keys)):
+        subs = [keys[i]] if long[i] else pieces[i]
+        row = 0
+        for s, t, r in subs:
+            span = arcs_b.span(n, s, t)
+            for j, (p, q, right) in enumerate(keys):
+                if p <= s and t <= q and right & span == r and (long[j] or not long[i]):
+                    row |= 1 << j
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_subarc_rows_match_the_scan_of_every_main_key(n):
+    keyed = arcs_b.keyed_arcs(n)
+    pieces = [[] for _ in keyed.main]
+    for key, i in keyed.index.items():
+        pieces[i].append(key)
+    long = [p < 0 and p != -q for p, q, _right in keyed.main]
+    table = forcing.subarc_table(n)
+    assert [table.row(i) for i in range(len(keyed.main))] == rows_by_scan(n, keyed.main, pieces, long)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_subarc_rows_match_the_scan_of_every_key(n):
+    table = forcing.symmetric_subarc_table(n)
+    rows = rows_by_scan(n, table.keys, [[key] for key in table.keys])
+    assert [table.row(i) for i in range(len(table.keys))] == rows
+
+
+def kept(table):
+    """The bitmasks of the rows and of the columns that table has computed."""
+    return tuple(sum(1 << i for i, x in enumerate(side) if x is not None) for side in (table._rows, table._cols))
+
+
+def test_validation_reads_the_side_with_fewer_arcs():
+    """On fresh tables at n = 7 (2,179 arcs).  A Cambrian congruence
+    contracts 2,130 arcs, the parabolic one of s3 2,145 and the full one all,
+    so each reads the columns of its uncontracted arcs and computes no row
+    but its generators' (so the Cambrian and full checks build no row
+    planes).  Arc 111 generates 1,050 contracted arcs, and its check reads
+    their rows and no column."""
+    cases = [
+        (lambda: catalog.cambrian_congruence(7, catalog.Designation.parse("RRRRRR")), 49, 0),
+        (lambda: ArcCongruence.full(7), 0, 0),
+        (lambda: catalog.parabolic_congruence(7, [3]), 34, 1),
+    ]
+    for build, uncontracted, generators in cases:
+        forcing.subarc_table.cache_clear()
+        theta = build()
+        table = forcing.subarc_table(7)
+        outside = table.full & ~theta.mask
+        assert outside.bit_count() == uncontracted
+        rows, cols = kept(table)
+        assert cols == outside
+        assert rows.bit_count() == generators and rows & outside == 0
+    forcing.subarc_table.cache_clear()
+    theta = ArcCongruence.from_generators(7, [forcing._all_arcs(7)[111]])
+    table = forcing.subarc_table(7)
+    assert theta.mask.bit_count() == 1050
+    assert kept(table) == (theta.mask, 0)
+
+
 def test_long_arc_counts_only_through_its_main_piece():
     """Both pieces of the bare long arc on 1, 2 are type-A subarcs of the
     orbifold arc's piece, yet the long arc is no subarc of it."""
@@ -627,6 +696,21 @@ def project_word_by_objects(word, theta):
     while (step := next((i for i, arc in arcs_a.descent_arcs(word) if arc in contracted), None)) is not None:
         word = word[:step] + (word[step + 1], word[step]) + word[step + 2:]
     return word
+
+
+def test_project_refuses_a_permutation_of_another_rank():
+    """Every element of B3 under a rank-4 Cambrian congruence, and a rank-5
+    one, which the rank-4 keys would leave as it is."""
+    theta = catalog.cambrian_congruence(4, catalog.Designation.parse("RRR"))
+    for pi in [*all_signed_permutations(3), SignedPermutation((5, 4, 3, 2, 1))]:
+        with pytest.raises(ValueError, match="rank"):
+            forcing.project(pi, theta)
+
+
+@pytest.mark.parametrize("word", [(2, 1), (1, 2, 3, -3, -2, -1, 4, -4), (1, 1, 2, -1, -2, -3), (0, 1, 2, -1, -2, -3)])
+def test_project_word_refuses_a_word_that_is_not_a_permutation_of_its_points(word):
+    with pytest.raises(ValueError, match="not a permutation"):
+        forcing.project_word(word, ArcCongruenceA.full(3))
 
 
 @pytest.mark.parametrize("n", [2, 3])

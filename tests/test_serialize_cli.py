@@ -153,6 +153,24 @@ def test_verify_reports_are_pinned():
     assert digest.hexdigest() == "ca7f30225eb7051dfee840ceeb43e41da7f209f9b84413c75950f005c2ef6117"
 
 
+def test_arrow_and_oracle_output_is_pinned():
+    """One digest over the exit code, stdout and stderr of every arrow list
+    at n = 1-6, the refused one at n = 8, one two-arc arrows call, and the
+    verify suites that read arrows, join-irreducibles or class bottoms:
+    forcing-oracle at n = 1-4, forcing-closure at n = 1-6, octagon, con-a
+    and cjr-quotient at n = 3."""
+    orb = [json.dumps({"kind": "orbifold", "top": t, "right": []}) for t in (1, 2)]
+    commands = [("arrows", "--n", str(n)) for n in (1, 2, 3, 4, 5, 6, 8)] + [("arrows", *orb)]
+    suites = [("forcing-oracle", n) for n in range(1, 5)] + [("forcing-closure", n) for n in range(1, 7)]
+    suites += [("octagon", 2), ("con-a", 3), ("cjr-quotient", 3)]
+    commands += [("verify", "--suite", suite, "--n", str(n)) for suite, n in suites]
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, err = run_cli_full(*argv)
+        digest.update(f"{' '.join(argv)} {code}\n{out}\n{err}".encode())
+    assert digest.hexdigest() == "4894f80137aa308929cc3324a0a0dfdbd26a85c7ae3adb7c2fd91b431ab52b22"
+
+
 def test_quotient_json_congruence():
     theta = catalog.parabolic_congruence(2, [0])
     text = json.dumps(serialize.congruence_to_json(theta))

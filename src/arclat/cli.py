@@ -24,7 +24,7 @@ from . import arcs_a, arcs_b, catalog, forcing, geometry as geo, render, seriali
 from .catalog import Designation
 from .lattice import NotALattice
 from .permutations import CoxeterType, check_signed_rank
-from .util import ScopeExceeded
+from .util import ScopeExceeded, bits
 
 
 class CliError(Exception):
@@ -163,10 +163,8 @@ def cmd_arrows(args) -> int:
         a, b = _two_arcs(args)
         _emit({"arrow": forcing.has_arrow(a, b)})
     else:
-        edges = [
-            [serialize.arc_b_to_json(e.source), serialize.arc_b_to_json(e.target)]
-            for e in forcing.arrow_edges(args.n)
-        ]
+        arcs = [serialize.arc_b_to_json(a) for a in forcing._all_arcs(args.n)]
+        edges = [[arcs[i], arcs[j]] for i, row in enumerate(forcing.arrow_rows(args.n)) for j in bits(row)]
         _emit({"n": args.n, "arrows": edges})
     return 0
 

@@ -34,7 +34,7 @@ from .arcs_b import (
 )
 from .lattice import FiniteLattice, build_lattice
 from .permutations import SignedPermutation, check_signed_rank, signed_words
-from .util import InvariantError, ScopeExceeded, bits, closed_sets, passed, transitive_closure
+from .util import InvariantError, ScopeExceeded, bits, closed_sets, passed
 
 
 class NotInConA(ValueError):
@@ -206,35 +206,12 @@ def forces(a1: TypeBArc, a2: TypeBArc) -> bool:
     return is_subarc(a1, a2)
 
 
-@dataclass(frozen=True)
-class ArrowEdge:
-    """A single forcing step; the source is always a subarc of the target."""
-
-    source: TypeBArc
-    target: TypeBArc
-
-    def __post_init__(self):
-        if not is_subarc(self.source, self.target):
-            raise ValueError("arrow source must be a subarc of its target")
-
-
 def arrow_rows(n: int) -> List[int]:
     """Row i is the bitmask of the arcs j with an arrow from arc i to arc j,
     over the arcs on n points in _all_arcs order.  An arrow runs only to a
     superarc, so only the pairs of subarc_table(n).row(i) are tested."""
     arcs, table = _all_arcs(n), subarc_table(n)
     return [sum(1 << j for j in bits(table.row(i)) if has_arrow(a, arcs[j])) for i, a in enumerate(arcs)]
-
-
-def arrow_edges(n: int) -> List[ArrowEdge]:
-    arcs = _all_arcs(n)
-    return [ArrowEdge(arcs[i], arcs[j]) for i, row in enumerate(arrow_rows(n)) for j in bits(row)]
-
-
-def arrow_closure(n: int) -> List[int]:
-    """Reflexive-transitive closure of the arrow relation on the arcs on n
-    points, as bitmask rows in _all_arcs order."""
-    return transitive_closure(arrow_rows(n))
 
 
 def _keyed_arcs(n: int) -> arcs_b.KeyedArcs:
@@ -537,20 +514,22 @@ def _signed_mask(theta: ArcCongruence) -> int:
     return theta.mask
 
 
-def contracted_descent(word: Sequence[int], keys: frozenset) -> Optional[int]:
-    """The first descent of a signed word whose arc is in keys (see
-    ArcCongruence.contracted_keys): -1 for the centre, -w[0] > w[0], else the
-    short position; None if there is none."""
-    return _first_in(arcs_b.descent_keys(word, len(word)), keys)
-
-
-def _first_in(descents: Iterable[Tuple[int, Key]], keys: frozenset) -> Optional[int]:
-    """The position of the first of descents (see arcs_b.descent_keys) whose
-    key is in keys, or None."""
-    for k, key in descents:
-        if key in keys:
-            return k
-    return None
+def _walk_down(word: Sequence[int], n: int, keys: frozenset, centre: bool) -> Tuple[int, ...]:
+    """The bottom of the class of a word over +/-1..n: while some descent
+    (see arcs_b.descent_keys, centre included when centre is set) has its
+    key in keys, step down across the first such one, at the centre by
+    negating the first entry and elsewhere by swapping two entries."""
+    w = list(word)
+    while True:
+        for k, key in arcs_b.descent_keys(w, n, centre):
+            if key in keys:
+                break
+        else:
+            return tuple(w)
+        if k < 0:
+            w[0] = -w[0]
+        else:
+            w[k], w[k + 1] = w[k + 1], w[k]
 
 
 def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
@@ -562,13 +541,8 @@ def project(pi: SignedPermutation, theta: ArcCongruence) -> SignedPermutation:
     """
     if pi.n != theta.n:
         raise ValueError(f"a signed permutation of rank {pi.n} under a congruence of rank {theta.n}")
-    keys, w = theta.contracted_keys, list(pi.word)
-    while (step := contracted_descent(w, keys)) is not None:
-        if step < 0:
-            w[0] = -w[0]
-        else:
-            w[step], w[step + 1] = w[step + 1], w[step]
-    return pi if tuple(w) == pi.word else SignedPermutation(tuple(w))
+    w = _walk_down(pi.word, theta.n, theta.contracted_keys, True)
+    return pi if w == pi.word else SignedPermutation(w)
 
 
 def quotient_elements(theta: ArcCongruence) -> List[SignedPermutation]:
@@ -784,10 +758,7 @@ def project_word(word: Tuple[int, ...], theta: ArcCongruenceA) -> Tuple[int, ...
     n = theta.n
     if sorted(word) != [*range(-n, 0), *range(1, n + 1)]:
         raise ValueError(f"{word} is not a permutation of +/-1..{n}")
-    keys, w = theta.contracted_arc_keys, list(word)
-    while (step := _first_in(arcs_b.descent_keys(w, n, centre=False), keys)) is not None:
-        w[step], w[step + 1] = w[step + 1], w[step]
-    return tuple(w)
+    return _walk_down(word, n, theta.contracted_arc_keys, False)
 
 
 def is_in_con_a(theta: ArcCongruence) -> bool:

@@ -11,7 +11,8 @@ Lattices are immutable after construction.  Each keeps three derived
 tables, every fact computed once:
 
 - the join-irreducibles, as the tuple `jis` in id order and the bitmask
-  `ji_mask`, found while the lattice is checked;
+  `ji_mask`, found while the lattice is checked.  Every function here names
+  a join-irreducible j by its id; its lower cover is `covers_down[j][0]`;
 - the canonical join representations (see `cjr_oracle`), memoised per
   element on first use;
 - the forcing table of the congruences (see `_forcing_table`), built on
@@ -21,7 +22,6 @@ tables, every fact computed once:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .util import ScopeExceeded, bits, closed_sets, transitive_closure
@@ -29,12 +29,6 @@ from .util import ScopeExceeded, bits, closed_sets, transitive_closure
 
 class NotALattice(Exception):
     """Raised when a cover digraph fails to define a lattice."""
-
-
-@dataclass(frozen=True)
-class JoinIrreducible:
-    element: int
-    lower: int  # the unique element covered by `element`
 
 
 class FiniteLattice:
@@ -191,11 +185,6 @@ def build_lattice(covers: Iterable[tuple], elements: Optional[Iterable[Hashable]
     return FiniteLattice(covers, elements)
 
 
-def join_irreducibles(lat: FiniteLattice) -> tuple:
-    """All elements with exactly one lower cover, paired with that cover."""
-    return tuple(JoinIrreducible(j, lat.covers_down[j][0]) for j in lat.jis)
-
-
 def cjr_oracle(lat: FiniteLattice, x: int) -> Optional[frozenset]:
     """Canonical join representation of x: the join representation whose
     order ideal lies in the ideal of every other one, or None if none does.
@@ -287,7 +276,7 @@ def _partition(lat: FiniteLattice, classes: Iterable[Iterable[int]]) -> Optional
     class_of = [-1] * lat.n
     for cid, members in enumerate(class_list):
         for m in members:
-            if class_of[m] != -1:
+            if not 0 <= m < lat.n or class_of[m] != -1:
                 return None
             class_of[m] = cid
     if any(c < 0 for c in class_of):
@@ -332,12 +321,11 @@ def _forcing_table(lat: FiniteLattice) -> tuple:
     return lat._forcing
 
 
-def _position(lat: FiniteLattice, j) -> int:
-    element = j.element if isinstance(j, JoinIrreducible) else j
+def _position(lat: FiniteLattice, j: int) -> int:
     pos = _forcing_table(lat)[1]
-    if element not in pos:
+    if j not in pos:
         raise ValueError("generators must be join-irreducibles")
-    return pos[element]
+    return pos[j]
 
 
 def _congruence_contracting(lat: FiniteLattice, contracted: int) -> Congruence:
@@ -361,15 +349,15 @@ def _congruence_contracting(lat: FiniteLattice, contracted: int) -> Congruence:
     return Congruence(lat, [d & keep for d in lat.down])
 
 
-def principal_congruence(lat: FiniteLattice, j) -> Congruence:
+def principal_congruence(lat: FiniteLattice, j: int) -> Congruence:
     """Smallest congruence identifying the join-irreducible j with its lower
     cover: the row of j in the forcing table, grouped into classes."""
     return congruence_generated_by(lat, [j])
 
 
-def congruence_generated_by(lat: FiniteLattice, jis: Iterable) -> Congruence:
-    """Smallest congruence contracting all the given join-irreducibles
-    (JoinIrreducible records or element ids): the union of their rows."""
+def congruence_generated_by(lat: FiniteLattice, jis: Iterable[int]) -> Congruence:
+    """Smallest congruence contracting all the given join-irreducible ids:
+    the union of their rows."""
     rows = _forcing_table(lat)[2]
     contracted = 0
     for j in jis:
@@ -378,8 +366,9 @@ def congruence_generated_by(lat: FiniteLattice, jis: Iterable) -> Congruence:
 
 
 def contracted_jis(lat: FiniteLattice, theta: Congruence) -> frozenset:
-    """Join-irreducibles identified with their lower cover by theta."""
-    return frozenset(j for j in join_irreducibles(lat) if theta.same(j.element, j.lower))
+    """The ids of the join-irreducibles identified with their lower cover by
+    theta."""
+    return frozenset(j for j in lat.jis if theta.same(j, lat.covers_down[j][0]))
 
 
 def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
@@ -427,8 +416,9 @@ def quotient(lat: FiniteLattice, theta: Congruence) -> FiniteLattice:
     return FiniteLattice._on_ids([lat.labels[b] for b in bottoms], covers_down)
 
 
-def forcing_oracle(lat: FiniteLattice, j1, j2) -> bool:
-    """True iff every congruence contracting j1 also contracts j2."""
+def forcing_oracle(lat: FiniteLattice, j1: int, j2: int) -> bool:
+    """True iff every congruence contracting the join-irreducible j1 also
+    contracts j2."""
     return bool(_forcing_table(lat)[2][_position(lat, j1)] >> _position(lat, j2) & 1)
 
 
@@ -436,7 +426,7 @@ def cjr_quotient_check(lat: FiniteLattice, theta: Congruence) -> bool:
     """Contraction is detected on canonical joinands, and CJRs survive quotients."""
     q = quotient(lat, theta)
     in_lat = [lat.index[label] for label in q.labels]
-    contracted = {j.element for j in contracted_jis(lat, theta)}
+    contracted = contracted_jis(lat, theta)
     for x in range(lat.n):
         rep = cjr_oracle(lat, x)
         if rep is None:

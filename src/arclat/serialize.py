@@ -2,9 +2,10 @@
 
 These are the only formats the CLI reads, and it writes its arcs,
 diagrams and permutations in them; its counts, element lists, covers,
-arrows, shards and verify reports it builds itself.  A congruence is
-written as its contracted arcs and read back through
-ArcCongruence.from_arcs, which turns them into its stored bitmask.
+arrows, shards and verify reports it builds itself.  A congruence is read
+as {"n", "contracted"}, its rank and contracted arcs, through
+ArcCongruence.from_arcs, which turns them into its stored bitmask; the
+CLI never writes one.
 """
 
 from __future__ import annotations
@@ -117,15 +118,6 @@ def diagram_b_to_json(diagram: DiagramB) -> dict:
 
 def diagram_b_from_json(data: dict) -> DiagramB:
     return DiagramB(_diagram_rank(data), frozenset(arc_b_from_json(a) for a in data["arcs"]))
-
-
-def congruence_to_json(theta: ArcCongruence) -> dict:
-    return {
-        "n": theta.n,
-        "contracted": [
-            arc_b_to_json(a) for a in sorted(theta.contracted, key=arcs_b.arc_key)
-        ],
-    }
 
 
 def congruence_from_json(data: dict) -> ArcCongruence:

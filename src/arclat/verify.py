@@ -124,12 +124,11 @@ def suite_cjr_quotient(n: int) -> dict:
 def suite_forcing_oracle(n: int) -> dict:
     rep = Report("forcing-oracle", n)
     W = weak_order_lattice(CoxeterType("B", n))
-    jis = list(lat.join_irreducibles(W))
-    arcs = {j.element: arcs_b.arc_of_join_irreducible(W.labels[j.element]) for j in jis}
-    pairs = list(itertools.product(jis, jis))
+    arcs = _ji_arcs("B", W, W.jis)
+    pairs = list(itertools.product(W.jis, W.jis))
     bad = next((
-        (W.labels[j1.element], W.labels[j2.element]) for j1, j2 in pairs
-        if lat.forcing_oracle(W, j1, j2) != forcing.is_subarc(arcs[j1.element], arcs[j2.element])
+        (W.labels[j1], W.labels[j2]) for j1, j2 in pairs
+        if lat.forcing_oracle(W, j1, j2) != forcing.is_subarc(arcs[j1], arcs[j2])
     ), None)
     rep.check(f"subarc = principal-congruence forcing ({len(pairs)} pairs)", bad is None, bad)
     return rep.done()
@@ -141,7 +140,7 @@ def suite_forcing_closure(n: int) -> dict:
     rep = Report("forcing-closure", n)
     table = forcing.subarc_table(n)
     bad = None
-    for i, reach in enumerate(forcing.arrow_closure(n)):
+    for i, reach in enumerate(transitive_closure(forcing.arrow_rows(n))):
         diff = reach ^ table.row(i)
         if diff:
             bad = (table.arc(i), table.arc((diff & -diff).bit_length() - 1))
@@ -193,9 +192,8 @@ def suite_shard_digraph(n: int, family: str = "B") -> dict:
         reach = transitive_closure([
             sum(1 << l for l, j in enumerate(jis) if i != j and arrow[i, j]) for i in jis
         ])
-        ji_by_el = {j.element: j for j in lat.join_irreducibles(W)}
         for (k, i), (l, j) in itertools.product(enumerate(jis), enumerate(jis)):
-            if bool(reach[k] >> l & 1) != lat.forcing_oracle(W, ji_by_el[i], ji_by_el[j]):
+            if bool(reach[k] >> l & 1) != lat.forcing_oracle(W, i, j):
                 bad = (W.labels[i], W.labels[j])
                 break
         rep.check("digraph closure = forcing", bad is None, bad)
@@ -205,15 +203,14 @@ def suite_shard_digraph(n: int, family: str = "B") -> dict:
 def suite_geometry(n: int, family: str = "B") -> dict:
     rep = Report("geometry", n)
     arr, W, sh, shard_of_ji = _shard_tables(family, n)
-    jis = lat.join_irreducibles(W)
     rep.check(
         "poset of regions matches the weak order",
         lat.is_isomorphic(geo.poset_of_regions(arr), W),
     )
-    rep.check("shard count equals join-irreducible count", len(sh) == len(jis), len(sh))
+    rep.check("shard count equals join-irreducible count", len(sh) == len(W.jis), len(sh))
     rep.check(
         "every join-irreducible has exactly one shard",
-        set(shard_of_ji) == {j.element for j in jis},
+        set(shard_of_ji) == set(W.jis),
         sorted(shard_of_ji),
     )
     bad = None
@@ -254,7 +251,7 @@ def suite_octagon(n: int = 2) -> dict:
     pairs_b = (SignedPermutation((-2, 1)), SignedPermutation((1, -2)))
     ok = True
     for cong in winners:
-        cj = {W.labels[j.element] for j in lat.contracted_jis(W, cong)}
+        cj = {W.labels[j] for j in lat.contracted_jis(W, cong)}
         if len(cj & set(pairs_a)) != 1 or len(cj & set(pairs_b)) != 1:
             ok = False
     rep.check("each contracts one of each generator pair", ok)

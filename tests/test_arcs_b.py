@@ -168,7 +168,7 @@ def test_arc_counts():
     assert len(arcs_b.all_arcs(2)) == 6  # 1 ordinary + 3 orbifold + 2 long
     for n in (2, 3, 4):
         W = weak_order_lattice(CoxeterType("B", n))
-        assert len(arcs_b.all_arcs(n)) == len(lat.join_irreducibles(W))
+        assert len(arcs_b.all_arcs(n)) == len(W.jis)
 
 
 def test_diagram_of_identity_and_s0():
@@ -272,7 +272,7 @@ def test_arc_of_join_irreducible_checks_its_one_descent(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_arc_ji_bijection(n):
     W = weak_order_lattice(CoxeterType("B", n))
-    jis = {W.labels[j.element] for j in lat.join_irreducibles(W)}
+    jis = {W.labels[j] for j in W.jis}
     arcs = arcs_b.all_arcs(n)
     image = {SignedPermutation(arcs_b.join_irreducible_word(a, n)) for a in arcs}
     assert image == jis

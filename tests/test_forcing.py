@@ -32,6 +32,7 @@ from arclat.permutations import (
     unfold,
     weak_order_lattice,
 )
+from arclat.util import transitive_closure
 from test_lattice import is_congruence
 
 
@@ -257,7 +258,7 @@ def test_arrow_blocked_without_partner():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_arrow_closure_is_subarc_order(n):
     arcs = arcs_b.all_arcs(n)
-    closure = forcing.arrow_closure(n)
+    closure = transitive_closure(forcing.arrow_rows(n))
     for i, a in enumerate(arcs):
         for j, b in enumerate(arcs):
             assert bool(closure[i] >> j & 1) == is_subarc(a, b)
@@ -275,13 +276,12 @@ ARROW_EDGES = {
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_arrow_edges_match_the_stored_edge_sets(n):
-    """has_arrow on every pair, and arrow_edges' own list and order, both
-    as index pairs."""
+    """has_arrow on every pair, and the rows of arrow_rows expanded in order,
+    both as index pairs."""
     arcs = forcing._all_arcs(n)
     edges = [(i, j) for i, a in enumerate(arcs) for j, b in enumerate(arcs) if has_arrow(a, b)]
     assert (len(edges), hashlib.sha256(repr(edges).encode()).hexdigest()) == ARROW_EDGES[n]
-    index = {arc: i for i, arc in enumerate(arcs)}
-    listed = [(index[e.source], index[e.target]) for e in forcing.arrow_edges(n)]
+    listed = [(i, j) for i, row in enumerate(forcing.arrow_rows(n)) for j in range(len(arcs)) if row >> j & 1]
     assert (len(listed), hashlib.sha256(repr(listed).encode()).hexdigest()) == ARROW_EDGES[n]
 
 
@@ -401,7 +401,7 @@ def test_con_a_membership_refuses_the_symmetric_model():
         lambda: forcing.element_partition(ArcCongruence.identity(7)),
         lambda: ArcCongruence.full(8),
         lambda: ArcCongruence.from_generators(9, [OrbifoldArc(1, frozenset())]),
-        lambda: forcing.arrow_edges(8),
+        lambda: forcing.arrow_rows(8),
         lambda: catalog.cambrian_congruence(8, catalog.Designation(tuple("R" * 7))),
         lambda: forcing.all_congruences(4),
         lambda: list(lat.all_congruences(lat.build_lattice([(i, i + 1) for i in range(27)]))),
@@ -526,12 +526,8 @@ def lattice_contracted_arcs(n):
     """The contracted arc sets of every congruence of the weak order on B_n,
     enumerated on the lattice side and mapped through the arc bijection."""
     W = weak_order_lattice(CoxeterType("B", n))
-    jis = lat.join_irreducibles(W)
-    arc_of = {j: arcs_b.arc_of_join_irreducible(W.labels[j.element]) for j in jis}
-    return [
-        frozenset(arc_of[j] for j in jis if cong.same(j.element, j.lower))
-        for cong in lat.all_congruences(W)
-    ]
+    arc_of = {j: arcs_b.arc_of_join_irreducible(W.labels[j]) for j in W.jis}
+    return [frozenset(arc_of[j] for j in lat.contracted_jis(W, cong)) for cong in lat.all_congruences(W)]
 
 
 @pytest.mark.parametrize("n,count", [(2, 19), (3, 8368)])
@@ -559,13 +555,10 @@ def test_every_lattice_congruence_is_an_arc_congruence_at_rank_two():
 
 def test_principal_below_every_contracting_congruence():
     W = weak_order_lattice(CoxeterType("B", 2))
-    ji_of = {
-        W.labels[j.element]: j for j in lat.join_irreducibles(W)
-    }
     for theta in forcing.all_congruences(2):
         part = {(x, y) for c in forcing.element_partition(theta) for x in c for y in c}
         for arc in theta.contracted:
-            j = ji_of[SignedPermutation(arcs_b.join_irreducible_word(arc, 2))]
+            j = W.index[SignedPermutation(arcs_b.join_irreducible_word(arc, 2))]
             principal = lat.principal_congruence(W, j)
             for members in principal.classes():
                 for x, y in itertools.combinations(members, 2):
@@ -735,15 +728,11 @@ def test_project_word_matches_the_object_reference(n):
 def test_principal_contracted_arcs_are_superarc_closures_rank_three():
     """Element-level principal congruences contract exactly the superarcs."""
     W = weak_order_lattice(CoxeterType("B", 3))
-    ji_of = {W.labels[j.element]: j for j in lat.join_irreducibles(W)}
     arcs = arcs_b.all_arcs(3)
     for arc in arcs:
-        j = ji_of[SignedPermutation(arcs_b.join_irreducible_word(arc, 3))]
+        j = W.index[SignedPermutation(arcs_b.join_irreducible_word(arc, 3))]
         theta = lat.principal_congruence(W, j)
-        contracted = {
-            arcs_b.arc_of_join_irreducible(W.labels[x.element])
-            for x in lat.contracted_jis(W, theta)
-        }
+        contracted = {arcs_b.arc_of_join_irreducible(W.labels[x]) for x in lat.contracted_jis(W, theta)}
         assert contracted == {b for b in arcs if is_subarc(arc, b)}
         # below every arc congruence contracting the arc
         up = ArcCongruence.from_generators(3, [arc])
@@ -756,21 +745,8 @@ def test_quotient_join_irreducibles_are_uncontracted():
         classes = [[W.index[pi] for pi in c] for c in forcing.element_partition(theta)]
         cong = lat.Congruence.from_classes(W, classes)
         q = lat.quotient(W, cong)
-        expect = {
-            W.labels[j.element]
-            for j in lat.join_irreducibles(W)
-            if not cong.same(j.element, j.lower)
-        }
-        assert {q.labels[j.element] for j in lat.join_irreducibles(q)} == expect
-
-
-def test_arrow_edges_validate():
-    edges = forcing.arrow_edges(2)
-    assert all(is_subarc(e.source, e.target) for e in edges)
-    with pytest.raises(ValueError):
-        forcing.ArrowEdge(
-            OrbifoldArc(2, frozenset()), OrbifoldArc(1, frozenset())
-        )
+        expect = {W.labels[j] for j in W.jis if not cong.same(j, W.covers_down[j][0])}
+        assert {q.labels[j] for j in q.jis} == expect
 
 
 @functools.lru_cache(maxsize=1)
@@ -837,10 +813,11 @@ def test_quotients_match_descent_arc_references(n, stride):
 
 
 def quotient_words_by_scan(theta):
-    """The whole-group scan: every signed word, kept when contracted_descent
-    finds none of its descent keys among the contracted ones."""
+    """The whole-group scan: every signed word, kept when none of its
+    descent keys is among the contracted ones."""
     keys = theta.contracted_keys
-    return [w for w in signed_words(theta.n) if forcing.contracted_descent(w, keys) is None]
+    return [w for w in signed_words(theta.n)
+            if keys.isdisjoint(key for _k, key in arcs_b.descent_keys(w, theta.n))]
 
 
 def classes_by_project(theta):

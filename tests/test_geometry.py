@@ -136,7 +136,7 @@ def test_rank_two_triple_in_a2():
 def test_shard_count_is_ji_count(family, n):
     arr = geo.coxeter_arrangement(CoxeterType(family, n))
     W = weak_order_lattice(CoxeterType(family, n))
-    assert len(geo.shards(arr)) == len(lat.join_irreducibles(W))
+    assert len(geo.shards(arr)) == len(W.jis)
 
 
 def test_unsliced_basic_walls_have_one_shard():
@@ -163,8 +163,7 @@ def _tables(family, n):
 
 def test_min_upper_region_bijection_b2():
     arr, W, shards, shard_of = _tables("B", 2)
-    jis = {j.element for j in lat.join_irreducibles(W)}
-    assert set(shard_of) == jis
+    assert set(shard_of) == set(W.jis)
     # atoms of the weak order sit above the unsliced walls
     for i, s in shard_of.items():
         if s.sides == ():

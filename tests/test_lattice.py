@@ -18,7 +18,6 @@ from arclat.lattice import (
     cjr_oracle,
     contracted_jis,
     forcing_oracle,
-    join_irreducibles,
     principal_congruence,
     quotient,
 )
@@ -61,7 +60,7 @@ def test_diamond_meets_at_bottom():
 def test_hexagon_from_brute_force_covers():
     L = build_lattice(hexagon_covers())
     assert L.n == 6
-    assert len(join_irreducibles(L)) == 4
+    assert len(L.jis) == 4
 
 
 def test_two_maximal_elements_rejected():
@@ -86,16 +85,16 @@ def test_bowtie_rejected_for_two_minimal_upper_bounds():
 
 def test_join_irreducibles_chain_and_octagon():
     chain = build_lattice([(i, i + 1) for i in range(4)])
-    assert len(join_irreducibles(chain)) == 4
+    assert len(chain.jis) == 4
     octagon = weak_order_lattice(CoxeterType("B", 2))
-    assert len(join_irreducibles(octagon)) == 6
+    assert len(octagon.jis) == 6
 
 
 def test_cjr_oracle_basics():
     L = weak_order_lattice(CoxeterType("B", 2))
     assert cjr_oracle(L, L.bottom) == frozenset()
-    for j in join_irreducibles(L):
-        assert cjr_oracle(L, j.element) == frozenset([j.element])
+    for j in L.jis:
+        assert cjr_oracle(L, j) == frozenset([j])
     top_rep = cjr_oracle(L, L.top)
     assert len(top_rep) == 2
     # enumeration oracle: the two canonical joinands are the atoms
@@ -129,6 +128,19 @@ def test_from_classes_rejects_overlaps_and_gaps():
         tuple(elems[:1]),
         tuple(elems[1:]),
     )
+
+
+def test_from_classes_rejects_negative_ids():
+    """-1 would index the last element's slot; it is no element."""
+    W = weak_order_lattice(CoxeterType("B", 2))
+    with pytest.raises(ValueError, match="classes do not partition the elements"):
+        Congruence.from_classes(W, [list(range(7)), [-1]])
+
+
+def test_from_classes_rejects_ids_past_the_last_element():
+    W = weak_order_lattice(CoxeterType("B", 2))
+    with pytest.raises(ValueError, match="classes do not partition the elements"):
+        Congruence.from_classes(W, [list(range(8)), [8]])
 
 
 def test_library_has_no_assert_statements():
@@ -283,12 +295,12 @@ def test_principal_congruence_octagon():
     L = weak_order_lattice(CoxeterType("B", 2))
     j = L.index[SignedPermutation((2, -1))]  # covers one element
     theta = principal_congruence(L, j)
-    contracted = {L.labels[x.element] for x in contracted_jis(L, theta)}
+    contracted = {L.labels[x] for x in contracted_jis(L, theta)}
     assert contracted == {SignedPermutation((2, -1))}
     j2 = L.index[SignedPermutation((-2, -1))]
     theta2 = principal_congruence(L, j2)
     assert SignedPermutation((-2, -1)) in {
-        L.labels[x.element] for x in contracted_jis(L, theta2)
+        L.labels[x] for x in contracted_jis(L, theta2)
     }
 
 
@@ -297,7 +309,7 @@ def test_principal_congruence_hexagon_atom_contracts_three():
     L = build_lattice(hexagon_covers())
     atom = L.index[Permutation((2, 1, 3))]
     theta = principal_congruence(L, atom)
-    contracted = {L.labels[x.element].word for x in contracted_jis(L, theta)}
+    contracted = {L.labels[x].word for x in contracted_jis(L, theta)}
     assert contracted == {(2, 1, 3), (2, 3, 1), (3, 1, 2)}
 
 
@@ -306,7 +318,7 @@ def test_contracted_jis_trivial():
     ident = Congruence(L, list(L.elements()))
     assert contracted_jis(L, ident) == frozenset()
     full = Congruence(L, [0] * L.n)
-    assert len(contracted_jis(L, full)) == len(join_irreducibles(L))
+    assert contracted_jis(L, full) == frozenset(L.jis)
 
 
 def test_quotient_identity_and_full():
@@ -329,12 +341,12 @@ def test_quotient_octagon_to_hexagon():
 
 def test_forcing_oracle_reflexive_and_examples():
     L = build_lattice(hexagon_covers())
-    jis = {L.labels[j.element].word: j for j in join_irreducibles(L)}
+    jis = {L.labels[j].word: j for j in L.jis}
     for j in jis.values():
         assert forcing_oracle(L, j, j)
     assert forcing_oracle(L, jis[(2, 1, 3)], jis[(3, 1, 2)])
     octagon = weak_order_lattice(CoxeterType("B", 2))
-    ji2 = {octagon.labels[j.element]: j for j in join_irreducibles(octagon)}
+    ji2 = {octagon.labels[j]: j for j in octagon.jis}
     s0s1 = ji2[SignedPermutation((2, -1))]
     s1s0 = ji2[SignedPermutation((-2, 1))]
     assert not forcing_oracle(octagon, s0s1, s1s0)
@@ -406,7 +418,7 @@ def test_cjr_quotient_check_named_congruences():
         classes = [[W.index[pi] for pi in c] for c in forcing.element_partition(theta)]
         assert lat.cjr_quotient_check(W, Congruence.from_classes(W, classes))
     S4 = weak_order_lattice(CoxeterType("A", 4))
-    j = next(iter(join_irreducibles(S4)))
+    j = S4.jis[0]
     assert lat.cjr_quotient_check(S4, principal_congruence(S4, j))
 
 
@@ -442,7 +454,7 @@ def cjr_by_search(L, x):
     and return the one whose order ideal lies in every other one's, or None."""
     if x == L.bottom:
         return frozenset()
-    cands = [j.element for j in join_irreducibles(L) if L.leq(j.element, x)]
+    cands = [j for j in L.jis if L.leq(j, x)]
     suffix_join = [L.bottom] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
         suffix_join[i] = L.join(cands[i], suffix_join[i + 1])
@@ -530,7 +542,7 @@ def test_cjr_oracle_matches_search(name):
 
 def test_cjr_oracle_matches_search_on_b3_quotients():
     W = weak_order_lattice(CoxeterType("B", 3))
-    for j in join_irreducibles(W):
+    for j in W.jis:
         check_against_search(quotient(W, principal_congruence(W, j)))
 
 
@@ -578,10 +590,9 @@ REFERENCE_LATTICES = dict(
 @pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
 def test_principal_congruence_matches_closure(name):
     L = REFERENCE_LATTICES[name]()
-    for j in join_irreducibles(L):
-        expect = congruence_by_closure(L, [j.element])
-        assert principal_congruence(L, j).class_of == expect.class_of, L.labels[j.element]
-        assert principal_congruence(L, j.element).class_of == expect.class_of
+    for j in L.jis:
+        expect = congruence_by_closure(L, [j])
+        assert principal_congruence(L, j).class_of == expect.class_of, L.labels[j]
 
 
 def test_principal_class_ids_are_the_least_member_of_each_class():
@@ -591,7 +602,7 @@ def test_principal_class_ids_are_the_least_member_of_each_class():
     digest = hashlib.sha256()
     for family, n in (("B", 3), ("B", 4), ("A", 4)):
         L = weak_order_lattice(CoxeterType(family, n))
-        for j in join_irreducibles(L):
+        for j in L.jis:
             class_of = principal_congruence(L, j).class_of
             least = {}
             for i, c in enumerate(class_of):
@@ -606,7 +617,7 @@ def test_generated_congruences_match_closure_on_random_meet_closed_lattices():
     checked = 0
     for L in random_meet_closed_lattices():
         for M in (L, dual_lattice(L)):
-            jis = [j.element for j in join_irreducibles(M)]
+            jis = M.jis
             gens = itertools.chain(
                 itertools.combinations(jis, 1), itertools.combinations(jis, 2)
             )
@@ -728,7 +739,6 @@ def test_join_irreducibles_are_kept_on_the_lattice():
         expect = [i for i in L.elements() if len(L.covers_down[i]) == 1]
         assert list(L.jis) == expect
         assert L.ji_mask == sum(1 << j for j in expect)
-        assert [j.element for j in join_irreducibles(L)] == expect
 
 
 def test_quotient_rejects_a_class_map_that_is_not_a_homomorphism():

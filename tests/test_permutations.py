@@ -226,7 +226,7 @@ def test_join_irreducible_shape(n):
     from arclat.permutations import is_join_irreducible_signed
 
     W = weak_order_lattice(CoxeterType("B", n))
-    from_lattice = {W.labels[j.element] for j in lat.join_irreducibles(W)}
+    from_lattice = {W.labels[j] for j in W.jis}
     by_shape = {pi for pi in all_signed_permutations(n) if is_join_irreducible_signed(pi)}
     assert from_lattice == by_shape
 

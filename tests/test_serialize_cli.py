@@ -11,6 +11,7 @@ import pytest
 
 from arclat import arcs_a, arcs_b, catalog, cli, forcing, serialize, verify
 from arclat.permutations import SignedPermutation, all_signed_permutations
+from arclat.util import transitive_closure
 
 
 def run_cli_full(*argv):
@@ -22,6 +23,13 @@ def run_cli_full(*argv):
 
 def run_cli(*argv):
     return run_cli_full(*argv)[:2]
+
+
+def congruence_json(theta):
+    """The wire form that serialize.congruence_from_json reads: the rank and
+    the contracted arcs in arc_key order."""
+    arcs = sorted(theta.contracted, key=arcs_b.arc_key)
+    return {"n": theta.n, "contracted": [serialize.arc_b_to_json(a) for a in arcs]}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -37,7 +45,7 @@ def test_diagram_and_congruence_roundtrip(n):
     for d in arcs_b.all_diagrams(n):
         assert serialize.diagram_b_from_json(serialize.diagram_b_to_json(d)) == d
     for theta in forcing.all_congruences(n):
-        back = serialize.congruence_from_json(serialize.congruence_to_json(theta))
+        back = serialize.congruence_from_json(congruence_json(theta))
         assert back.contracted == theta.contracted
 
 
@@ -173,7 +181,7 @@ def test_arrow_and_oracle_output_is_pinned():
 
 def test_quotient_json_congruence():
     theta = catalog.parabolic_congruence(2, [0])
-    text = json.dumps(serialize.congruence_to_json(theta))
+    text = json.dumps(congruence_json(theta))
     code, out = run_cli("quotient", "--congruence", text, "--n", "2", "--count")
     assert code == 0 and json.loads(out) == {"count": 2}
     code, _, err = run_cli_full("quotient", "--congruence", '{"n":2}', "--n", "2", "--count")
@@ -248,7 +256,7 @@ def test_forcing_and_arrows_subcommands():
     arcs = arcs_b.all_arcs(2)
     count = sum(1 for a in arcs for b in arcs if forcing.has_arrow(a, b))
     assert len(arrows) == count
-    closure = forcing.arrow_closure(2)
+    closure = transitive_closure(forcing.arrow_rows(2))
     for source, target in arrows:
         i, j = (arcs.index(serialize.arc_b_from_json(arc)) for arc in (source, target))
         assert closure[i] >> j & 1
@@ -410,8 +418,8 @@ TEMPLATES = {
         for w in ((-2, 1, 3), (3, -1, 2), (1, 2))
     ],
     "congruence": [
-        serialize.congruence_to_json(catalog.parabolic_congruence(2, [0])),
-        serialize.congruence_to_json(catalog.hom_congruence(2, "simion")),
+        congruence_json(catalog.parabolic_congruence(2, [0])),
+        congruence_json(catalog.hom_congruence(2, "simion")),
     ],
 }
 NAMES = ["identity", "full", "cambrian:RL", "cambrian:X", "parabolic:s1", "parabolic:",

@@ -187,7 +187,7 @@ def cmd_shards(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     top = argparse.ArgumentParser(prog="arclat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -241,18 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=("a", "b"), required=True)
     p.add_argument("--n", type=rank, required=True)
     p.set_defaults(func=cmd_shards)
-    return top
+    return top, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of main (not at import)."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser and its {command: subparser} map, built on the first call of main."""
+    return _build_parsers()
 
 
 def main(argv=None) -> int:
+    """A command word goes straight to its own parser, any other argv to the top parser."""
+    top, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                top.error("unrecognized arguments: %s" % " ".join(extra))
+        else:
+            args = top.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

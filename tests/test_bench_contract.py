@@ -5,6 +5,7 @@ benchmark run fails here first."""
 
 import ast
 import importlib
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +102,13 @@ def test_workload_names_exist():
         except AttributeError:
             missing.append(f"{module}.{path}")
     assert not missing
+
+
+@pytest.mark.xfail(strict=True, raises=statistics.StatisticsError,
+                   reason="op_speeds takes the median of no calibration samples")
+def test_op_speeds_of_a_pass_without_calibration_samples(bench):
+    """A geometry `rest` pass can end before the worker's first calibration
+    sample (40 ms after the pass starts); its op still needs a speed."""
+    run = importlib.import_module("run")
+    speeds = run.op_speeds({"calibration": [], "span_s": [(0.0, 0.039)]})
+    assert len(speeds) == 1 and speeds[0] > 0

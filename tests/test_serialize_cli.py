@@ -4,14 +4,16 @@ import io
 import itertools
 import json
 import random
+import sys
 import time
 import tracemalloc
 
 import pytest
 
 from arclat import arcs_a, arcs_b, catalog, cli, forcing, serialize, verify
+from arclat.lattice import NotALattice
 from arclat.permutations import SignedPermutation, all_signed_permutations
-from arclat.util import transitive_closure
+from arclat.util import ScopeExceeded, transitive_closure
 
 
 def run_cli_full(*argv):
@@ -219,11 +221,19 @@ def test_verify_failure_exit_code(monkeypatch):
 
 @pytest.mark.parametrize(
     "bad,code",
-    [(["map", "--type", "c", "--perm", "[1]"], 2), (["map", "--type", "b", "--perm", "[1, 1]"], 3)],
+    [
+        (["map", "--type", "c", "--perm", "[1]"], 2),
+        (["map", "--type", "b", "--perm", "[1, 1]"], 3),
+        (["map", "--type", "b", "--perm", "[1]", "extra"], 2),  # unrecognized arguments
+        (["map", "--perm", "[1]"], 2),  # the command's parser fails
+        (["nosuch"], 2),  # the top parser fails
+    ],
 )
 def test_parser_is_reused_after_an_error(bad, code):
-    """main keeps one parser; a call after a failed one answers as a fresh parser would."""
-    assert run_cli_full(*bad)[0] == code
+    """main keeps one set of parsers, built once; a call after a failed one
+    answers as a fresh parser would."""
+    got, _, err = run_cli_full(*bad)
+    assert got == code and "error: " in err
     good = ["quotient", "--congruence", "cambrian:RR", "--n", "3", "--list"]
     args = cli.build_parser().parse_args(good)
     out = io.StringIO()
@@ -231,6 +241,7 @@ def test_parser_is_reused_after_an_error(bad, code):
         fresh = args.func(args)
     assert run_cli_full(*good) == (fresh, out.getvalue(), "")
     assert cli._parser() is cli._parser()
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_enumerate_subcommand():
@@ -476,3 +487,71 @@ def test_malformed_corpus_ends_with_a_documented_code():
         assert code in (0, 1) or "error" in err, argv
         codes.add(code)
     assert {2, 3} <= codes
+
+
+def run_reference(parser, argv):
+    """`arclat <argv>` through one top-level parse_args, the command and
+    main's exit codes: the reference for main's direct dispatch."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            try:
+                code = args.func(args)
+            except (cli.CliError, ValueError, KeyError, TypeError, OverflowError, ScopeExceeded,
+                    NotALattice) as exc:
+                print(f"error: missing key {exc}" if isinstance(exc, KeyError) else f"error: {exc}",
+                      file=sys.stderr)
+                code = exc.code if isinstance(exc, cli.CliError) else 3
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["map", "quotient", "verify", "render", "enumerate", "forcing", "arrows", "shards"]
+USAGE_CASES = [
+    [], ["-h"], ["--help"], ["--version"], ["nosuch"], ["ma"], ["--", "map"],
+    *([cmd, "-h"] for cmd in COMMANDS),
+    ["map", "--type", "b", "--perm", "[1]", "extra"],
+    ["map", "--type", "b", "--perm", "[1]", "--bogus"],
+    ["map", "--type=b", "--perm", "[-2,1]"],
+    ["map", "--ty", "b", "--perm", "[-2,1]"],
+    ["enumerate", "--what", "arcs", "--n", "1", "--n", "2"],
+    ["quotient", "--congruence", "identity", "--n", "2", "--count", "--hasse"],
+    ["map", "--type", "b"],
+]
+# Tokens for random argvs: every option, a few of their values, and values
+# that are wrong; ranks stay small so that a valid command is cheap.
+TOKENS = COMMANDS + [
+    "nosuch", "-h", "--", "-", "-1", "--ty", "--type=a", "--n=2", "--bogus", "-x", "--perm", "--diagram",
+    "--type", "--congruence", "--list", "--count", "--hasse", "--suite", "--n", "--format", "--width",
+    "--height", "--spacing", "--what", "a", "b", "c", "0", "1", "2", "x", "[1]", "[-2,1]", "[]", "{}",
+    '{"n":1,"arcs":[]}', '{"kind":"orbifold","top":1,"right":[]}', "identity", "full", "simion",
+    "cambrian:RL", "cjr", "bijections", "svg", "ascii", "tikz", "arcs", "diagrams",
+]
+
+
+def random_argvs(seed: int, size: int) -> list:
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(size):
+        head = [rng.choice(COMMANDS)] if rng.random() < 0.8 else []
+        argvs.append(head + [rng.choice(TOKENS) for _ in range(rng.randrange(7))])
+    return argvs
+
+
+def test_direct_dispatch_matches_one_top_level_parse():
+    """main sends a command word straight to its own parser.  Exit code,
+    stdout and stderr are those of one top-level parse on the error
+    contract, the refusals, usage and help, and seeded random argvs."""
+    parser = cli.build_parser()
+    corpus = ([argv for argv, _ in ERROR_CONTRACT] + REFUSED + USAGE_CASES
+              + random_argvs(seed=5, size=1000))
+    for argv in corpus:
+        assert run_cli_full(*argv) == run_reference(parser, argv), argv
+    # A usage error prints the command's usage to stderr and exits 2; help exits 0.
+    code, out, err = run_cli_full("map", "--type", "c", "--perm", "[1]")
+    assert (code, out) == (2, "") and err.startswith("usage: arclat map ")
+    code, out, err = run_cli_full("map", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: arclat map ")

@@ -15,9 +15,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, starmap
+from itertools import accumulate
 from math import factorial
-from operator import gt, or_
+from operator import or_
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import arcs_a, arcs_b
@@ -33,7 +33,7 @@ from .arcs_b import (
     piece_key,
 )
 from .lattice import FiniteLattice, build_lattice
-from .permutations import SignedPermutation, check_signed_rank, signed_words
+from .permutations import SignedPermutation, check_signed_rank, signed_words, word_length
 from .util import InvariantError, ScopeExceeded, bits, closed_sets, passed
 
 
@@ -642,7 +642,6 @@ class DescentTable:
         arc_of = arcs_b.keyed_arcs(n).index
         self.start, self.arc, self.lower = array("i", [0]), array("i"), array("i")
         self.descents: List[int] = []
-        lengths, half = [], n * (n + 1) // 2
         for i, w in enumerate(words):
             if store[i] is None:
                 store[i] = SignedPermutation(w)
@@ -654,9 +653,7 @@ class DescentTable:
                 mask |= 1 << a
             self.descents.append(mask)
             self.start.append(len(self.arc))
-            # The length: the inversions plus -v for each negative entry v,
-            # which sum to (1 + ... + n - sum(w)) / 2.
-            lengths.append(sum(starmap(gt, combinations(w, 2))) + (half - sum(w)) // 2)
+        lengths = list(map(word_length, words))
         self.order = array("i", sorted(range(len(words)), key=lengths.__getitem__))
 
 

@@ -58,39 +58,43 @@ class FiniteLattice:
         order = sorted(range(n), key=lambda i: (level[i], i))
         rank_of = {old: new for new, old in enumerate(order)}
         self._build([labels[i] for i in order], [sorted(rank_of[j] for j in below[order[i]]) for i in range(n)])
-
-        # Only joins with join-irreducibles are checked.  A finite poset with
-        # a bottom in which every pair has a join is a lattice, since the
-        # meet of a and b is the join of their common lower bounds
-        # (Davey-Priestley, Introduction to Lattices and Order, ch. 2).  And
-        # every pair has a join once every pair (a, j) with j join-irreducible
-        # has one.  Proof, by induction on b in id order, for all a at once:
-        # a v bottom = a, and a join-irreducible b is checked.  Any other b
-        # has two lower covers c1 != c2, which precede b, so c1 v c2 exists;
-        # it lies above c1, not at c1 (else c2 < c1 < b), and below b, which
-        # covers c1, so c1 v c2 = b.  The upper bounds of {a, b} are then
-        # those of {a, c1, c2}, that is of {a v c1, c2}, which have a least
-        # element because c2 precedes b.  The upper bounds m = up[a] & up[j]
-        # are an up-set, never empty since _build checks the top, so they
-        # hold up[low] for their lowest id low, and low is their least
-        # element iff m == up[low].
-        up = self.up
-        for a, ua in enumerate(up):
-            for j in self.jis:
-                m = ua & up[j]
-                if m != up[(m & -m).bit_length() - 1]:
-                    raise NotALattice((self.labels[min(a, j)], self.labels[max(a, j)]))
+        self._check_joins()
 
     @classmethod
     def _on_ids(cls, labels: list, covers_down: list) -> "FiniteLattice":
         """The poset whose element i is labels[i] with lower covers
         covers_down[i], ascending ids that all precede i.  Every check of
-        the constructor runs but the (a, j) join check: its one caller,
-        quotient, proves the joins by its congruence check, as its result
-        is isomorphic to the quotient lattice."""
+        the constructor runs but the join check, _check_joins: quotient
+        proves the joins by its congruence check, as its result is
+        isomorphic to the quotient lattice, and weak_order_lattice runs the
+        check itself."""
         lat = cls.__new__(cls)
         lat._build(labels, covers_down)
         return lat
+
+    def _check_joins(self) -> None:
+        """Raise NotALattice unless every two upper covers of one element
+        have a join.  That suffices: a finite poset with a bottom, which
+        _build checks, is a lattice if every two upper covers of one element
+        have a join (the meet of a and b is then the join of their common
+        lower bounds; Davey-Priestley, Introduction to Lattices and Order,
+        ch. 2).  Proof: suppose some pair has no join.  Among such pairs
+        (a, b) and their common lower bounds x, take one with x maximal; then
+        x < a and x < b.  Take a' and b' covering x with a' <= a, b' <= b.
+        If a' = b', it is a common lower bound above x, against the choice
+        of x; so a' != b', and y = a' v b' exists.  (a, y) has the common
+        lower bound a' > x, so z1 = a v y exists; (z1, b) has b' > x, so
+        z2 = z1 v b exists.  Every upper bound of a and b lies above a', b',
+        y and z1, so above z2: z2 = a v b, a contradiction.  The upper
+        bounds m = up[y] & up[z] are an up-set, never empty since _build
+        checks the top, so they hold up[low] for their lowest id low, and
+        low is their least element iff m == up[low]."""
+        up, labels = self.up, self.labels
+        for above in self.covers_up:
+            for y, z in itertools.combinations(above, 2):
+                m = up[y] & up[z]
+                if m != up[(m & -m).bit_length() - 1]:
+                    raise NotALattice((labels[y], labels[z]))
 
     def _build(self, labels: list, covers_down: list) -> None:
         n = len(labels)
@@ -101,6 +105,8 @@ class FiniteLattice:
         self.covers_up = [[] for _ in range(n)]
         for i, lower in enumerate(covers_down):
             for j in lower:
+                if j >= i:
+                    raise NotALattice("ids do not extend the order")
                 self.covers_up[j].append(i)
 
         up = [0] * n

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import gt, mul
 from typing import Iterable, Iterator, Tuple
 
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice
 from .util import ScopeExceeded
 
 Word = Tuple[int, ...]
@@ -80,6 +80,14 @@ def lower_covers(word: Word) -> Iterator[Tuple[Tuple[int, int], Word]]:
         x, y = word[i], word[i + 1]
         if x > y:
             yield ((y, x) if x + y >= 0 else (-x, -y)), word[:i] + (y, x) + word[i + 2:]
+
+
+def word_length(word: Word) -> int:
+    """The Coxeter length of a permutation's word or a signed permutation's
+    short word: its inversions plus -v for each negative entry v, which sum
+    to (1 + ... + n - sum(word)) / 2, and to 0 for a permutation."""
+    n = len(word)
+    return sum(itertools.starmap(gt, itertools.combinations(word, 2))) + (n * (n + 1) // 2 - sum(word)) // 2
 
 
 def _word_inversion_pairs(word: Word) -> frozenset:
@@ -205,18 +213,23 @@ def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
 @lru_cache(maxsize=None)
 def weak_order_lattice(cox: CoxeterType) -> FiniteLattice:
     """The weak order as an explicit lattice; labels are the group elements.
-    One lattice per type, built on first use and shared by every caller."""
+    One lattice per type, built on first use and shared by every caller.
+    Ids: the words stably sorted by length, build_lattice's ids for this
+    graded order."""
     if cox.family == "A":
         if cox.n > 6:
             raise ScopeExceeded("type A weak order supported up to n = 6")
-        elems = list(all_permutations(cox.n))
+        words, make = list(itertools.permutations(range(1, cox.n + 1))), Permutation
     else:
         if cox.n > 4:
             raise ScopeExceeded("type B weak order supported up to n = 4")
-        elems = list(all_signed_permutations(cox.n))
-    by_word = {w.word: w for w in elems}
-    covers = [(by_word[lower], w) for w in elems for _t, lower in lower_covers(w.word)]
-    return build_lattice(covers, elems)
+        words, make = list(signed_words(cox.n)), SignedPermutation
+    words.sort(key=word_length)
+    index = {w: i for i, w in enumerate(words)}
+    covers_down = [sorted(index[lower] for _t, lower in lower_covers(w)) for w in words]
+    lat = FiniteLattice._on_ids(list(map(make, words)), covers_down)
+    lat._check_joins()
+    return lat
 
 
 def cjr_weak(w) -> frozenset:

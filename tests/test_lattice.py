@@ -73,6 +73,13 @@ def test_non_cover_edge_rejected():
         build_lattice(DIAMOND + [("0", "1")])
 
 
+def test_ids_that_do_not_extend_the_order_are_refused():
+    """_on_ids takes ids in a linear extension of the order; a lower cover
+    whose id comes after its element's is refused as such."""
+    with pytest.raises(NotALattice, match="ids do not extend the order"):
+        lat.FiniteLattice._on_ids(["a", "c", "b"], [[], [2], [0]])
+
+
 def test_bowtie_rejected_for_two_minimal_upper_bounds():
     """Bounded, every edge a cover, yet a and b have two minimal upper
     bounds c and d: only the join check can reject it."""
@@ -668,10 +675,10 @@ def test_forcing_oracle_rejects_non_join_irreducibles():
 
 
 def joins_exist_by_all_pairs(up):
-    """The join check over every pair, as FiniteLattice ran it before it
-    checked only pairs with a join-irreducible.  up[i] is the up-set bitmask
-    of i, with ids in a linear extension, so a pair's join, if any, is the
-    lowest id among its upper bounds."""
+    """The join check over every pair, the definition that FiniteLattice's
+    check on pairs of upper covers must agree with.  up[i] is the up-set
+    bitmask of i, with ids in a linear extension, so a pair's join, if any,
+    is the lowest id among its upper bounds."""
     for a in range(len(up)):
         for b in range(a + 1, len(up)):
             m = up[a] & up[b]
@@ -700,13 +707,13 @@ def random_bounded_poset(rng, inner, density):
     return covers, up
 
 
-def test_join_check_over_join_irreducibles_matches_all_pairs():
-    """On seeded random bounded posets, lattices and non-lattices alike,
-    FiniteLattice accepts exactly when every pair has a join."""
-    rng = random.Random(12)
+def join_check_verdicts(rng, count, sizes, densities):
+    """Build count seeded random bounded posets with sizes[0] to sizes[1]
+    inner elements, assert that FiniteLattice accepts exactly those in which
+    every pair has a join, and count them by that verdict."""
     verdicts = {True: 0, False: 0}
-    for _ in range(1500):
-        covers, up = random_bounded_poset(rng, rng.randint(4, 10), rng.choice((0.3, 0.45)))
+    for _ in range(count):
+        covers, up = random_bounded_poset(rng, rng.randint(*sizes), rng.choice(densities))
         expect = joins_exist_by_all_pairs(up)
         try:
             build_lattice(covers, range(len(up)))
@@ -716,14 +723,29 @@ def test_join_check_over_join_irreducibles_matches_all_pairs():
             accepted = True
         assert accepted == expect, covers
         verdicts[expect] += 1
+    return verdicts
+
+
+def test_join_check_over_join_irreducibles_matches_all_pairs():
+    """On seeded random bounded posets, lattices and non-lattices alike,
+    FiniteLattice accepts exactly when every pair has a join."""
+    verdicts = join_check_verdicts(random.Random(12), 1500, (4, 10), (0.3, 0.45))
     assert min(verdicts.values()) > 300, verdicts
+
+
+def test_join_check_matches_all_pairs_on_larger_posets():
+    """A second seeded batch, of bounded posets with 11 to 16 elements: at
+    least 100 lattices and 100 posets that are not."""
+    verdicts = join_check_verdicts(random.Random(13), 500, (9, 14), (0.2, 0.3))
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_join_check_reads_every_element_against_each_join_irreducible():
     """Every two atoms have a join (x, y or a g below both e and f), and
     the atoms are the only join-irreducibles, yet x and y have two minimal
-    upper bounds e and f.  Only a pair (a, j) with a not join-irreducible,
-    such as (x, r), shows it."""
+    upper bounds e and f.  No two upper covers of the bottom show it; the
+    upper covers x and gpr of p do, as e and f are both minimal above
+    them."""
     atoms = "pqrs"
     joins = {"x": "pq", "y": "rs", "gpr": "pr", "gps": "ps", "gqr": "qr", "gqs": "qs"}
     covers = [("0", a) for a in atoms]

@@ -21,6 +21,7 @@ from arclat.permutations import (
     simple_b,
     unfold,
     weak_order_lattice,
+    word_length,
     word_w0_conjugate,
 )
 
@@ -182,12 +183,26 @@ def test_inverts_matches_the_inversion_set(family, n):
 
 @pytest.mark.parametrize("family,n", [("A", n) for n in range(1, 7)] + [("B", n) for n in range(1, 5)])
 def test_weak_order_lattice_matches_the_label_pair_build(family, n):
-    """The build through the word dict equals the one from covers_down's
-    element pairs."""
+    """The build on ids, in the words' stable order by length, equals the
+    label-pair build of covers_down's element pairs, which orders the ids
+    by level and first appearance: the same ids, covers, order and
+    join-irreducibles."""
     W = weak_order_lattice(CoxeterType(family, n))
     elems = list(all_permutations(n) if family == "A" else all_signed_permutations(n))
     ref = lat.build_lattice([(lower, w) for w in elems for lower, _t in covers_down(w)], elems)
-    assert (W.labels, W.covers_up, W.up, W.down, W.jis) == (ref.labels, ref.covers_up, ref.up, ref.down, ref.jis)
+    assert (W.labels, W.covers_down, W.covers_up, W.up, W.down, W.jis, W.ji_mask) == (
+        ref.labels, ref.covers_down, ref.covers_up, ref.up, ref.down, ref.jis, ref.ji_mask)
+
+
+def test_word_length_is_the_number_of_inversions():
+    """On every word of S_1 to S_6 and B_1 to B_5, against the inversion
+    sets."""
+    for n in range(1, 7):
+        for pi in all_permutations(n):
+            assert word_length(pi.word) == pi.length(), pi
+    for n in range(1, 6):
+        for pi in all_signed_permutations(n):
+            assert word_length(pi.word) == pi.length(), pi
 
 
 def test_lower_covers_reflections_are_canonical():
